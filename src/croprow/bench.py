@@ -21,15 +21,7 @@ from typing import Callable
 import numpy as np
 
 from croprow.planners import PlanRequest, PlanResult, PlannerId
-from croprow.world import (
-    FieldSpec,
-    GoalSpec,
-    RobotState,
-    is_goal,
-    sample_goal,
-    sample_state,
-    simulate,
-)
+from croprow.world import FieldSpec, GoalSpec, RobotState, sample_instance, simulate
 
 CSV_HEADER = (
     "instance_id,planner,success,planning_time_ns,path_length_units,"
@@ -105,17 +97,11 @@ def generate_instances(field: FieldSpec, count: int, seed: int) -> list[Instance
     """Deterministic instance suite; starts already in a terminal
     configuration are rejected and redrawn."""
     rng = np.random.default_rng(seed)
-    out: list[Instance] = []
-    while len(out) < count:
-        start = sample_state(field, rng)
-        goal = sample_goal(field, rng)
-        if is_goal(field, start, goal):
-            continue
-        out.append(Instance(len(out), field, start, goal))
-    return out
+    return [Instance(i, field, *sample_instance(field, rng)) for i in range(count)]
 
 
-def _timed_call(planner: Planner, request: PlanRequest) -> tuple[PlanResult, int]:
+def timed_call(planner: Planner, request: PlanRequest) -> tuple[PlanResult, int]:
+    """One planning call and its wall time in ns, at least 1."""
     t0 = time.perf_counter_ns()
     result = planner.plan(request)
     return result, max(time.perf_counter_ns() - t0, 1)
@@ -142,7 +128,7 @@ def run_benchmark(
                 times = []
                 result = None
                 for _ in range(repetitions):
-                    result, elapsed = _timed_call(planner, request)
+                    result, elapsed = timed_call(planner, request)
                     times.append(elapsed)
                 elapsed_ns = int(round(statistics.median(times)))
             except Exception as exc:  # noqa: BLE001 - harness must survive planners

@@ -21,6 +21,7 @@ from croprow.bench import (
     generate_instances,
     run_benchmark,
     scaling_sweep,
+    timed_call,
 )
 from croprow.dqn import (
     CurriculumStage,
@@ -43,16 +44,9 @@ from croprow.waypoints import (
     write_csv,
     write_geojson,
 )
-from croprow.world import (
-    UP,
-    Action,
-    Episode,
-    FieldSpec,
-    GoalSpec,
-    IllegalActionError,
-    RobotState,
-    simulate,
-)
+from croprow.world import UP, Action, FieldSpec, GoalSpec, RobotState, simulate
+# no longer called here; kept because perfbench/workloads.py traces cli.Episode by name
+from croprow.world import Episode  # noqa: F401
 
 
 def _log(message: str) -> None:
@@ -98,11 +92,18 @@ def _parse_actions(text: str) -> list[Action]:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, int) for v in pair)
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
         ):
             raise ValueError(f"action {i} is not an [orientation,move] int pair")
         actions.append(Action(pair[0], pair[1]))
     return actions
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_stages(text: str) -> list[int]:
@@ -157,7 +158,7 @@ def _build_planners(names: list[str], model_path: str | None) -> list[Planner]:
 def cmd_plan(args: argparse.Namespace) -> int:
     field = FieldSpec(args.rows, args.len)
     request = PlanRequest(field, _parse_state(args.start), _parse_goal(args.goal))
-    result = _build_planners([args.planner], args.model)[0].plan(request)
+    result, elapsed_ns = timed_call(_build_planners([args.planner], args.model)[0], request)
     if args.format == "json":
         doc = {
             "planner": result.planner_id.value,
@@ -168,7 +169,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "macro_actions": [[a.orientation, a.move] for a in result.macro_actions],
             "raw_actions": [[a.orientation, a.move] for a in result.raw_actions],
             "path_length": result.path_length,
-            "planning_time_ns": result.planning_time_ns,
+            "planning_time_ns": elapsed_ns,
             "success": result.success,
             "failure_reason": result.failure_reason,
         }
@@ -177,7 +178,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"macro {_brackets(result.macro_actions)}")
         print(f"raw {_brackets(result.raw_actions)}")
         print(f"path length {result.path_length:g}")
-        print(f"planning time {result.planning_time_ns / 1e6:.3f} ms")
+        print(f"planning time {elapsed_ns / 1e6:.3f} ms")
     if not result.success:
         _log(f"planning failed: {result.failure_reason}")
         return 2
@@ -186,6 +187,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     names = [part for part in args.planners.split(",") if part]
+    if not names:
+        raise ValueError("--planners names no planner")
     planners = _build_planners(names, args.model)
     out_dir = Path(args.output_dir)
     if args.scaling:
@@ -290,20 +293,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         print("start:")
         print(_render(field, start, goal))
-        episode = Episode(field, start, goal)
-        for i, action in enumerate(actions):
-            if episode.done or episode.steps >= field.max_steps:
-                break
-            try:
-                outcome = episode.step(action)
-            except IllegalActionError as exc:
-                print(f"step {i}: action {_brackets([action])} illegal: {exc}")
-                break
-            print(
-                f"step {i}: action {_brackets([action])} "
-                f"reward {outcome.reward:+.1f}"
-            )
-            print(_render(field, episode.state, goal))
+        for i, (action, outcome) in enumerate(zip(actions, result.outcomes)):
+            print(f"step {i}: action {_brackets([action])} reward {outcome.reward:+.1f}")
+            print(_render(field, outcome.next_state, goal))
         print(f"verdict: {'success' if result.success else 'failure'}")
         if result.failure_reason:
             print(f"reason: {result.failure_reason}")
@@ -316,16 +308,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     with open(args.plan_json) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("plan JSON must be an object")
     for key in ("rows", "len", "start", "macro_actions"):
         if key not in doc:
             raise ValueError(f"plan JSON is missing {key!r}")
-    field = FieldSpec(int(doc["rows"]), int(doc["len"]))
-    sx, sy, so = doc["start"]
-    start = RobotState(float(sx), int(sy), int(so))
-    goal = None
-    if doc.get("goal") is not None:
-        goal = GoalSpec(int(doc["goal"][0]), int(doc["goal"][1]))
-    macros = [Action(int(o), int(m)) for o, m in doc["macro_actions"]]
+    try:
+        field = FieldSpec(int(doc["rows"]), int(doc["len"]))
+        sx, sy, so = doc["start"]
+        start = RobotState(float(sx), int(sy), int(so))
+        goal = None
+        if doc.get("goal") is not None:
+            row, goal_y = doc["goal"]
+            goal = GoalSpec(int(row), int(goal_y))
+        macros = [Action(int(o), int(m)) for o, m in doc["macro_actions"]]
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed plan JSON: {exc}") from exc
     geometry = load_geometry(args.geometry)
     path = compile_route(macros, start, field, geometry, goal=goal)
     if args.frame == "world":
@@ -351,55 +349,53 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument(
-        "--output-dir", default=".", help="directory for generated files"
-    )
-    common.add_argument(
-        "--format", choices=("csv", "json"), help="machine output format"
-    )
-
-    p = sub.add_parser("plan", parents=[common], help="plan one route")
+    p = sub.add_parser("plan", help="plan one route")
     p.add_argument("--planner", required=True, choices=("heuristic", "astar", "dqn"))
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--start", required=True, help="x,y,orientation")
     p.add_argument("--goal", required=True, help="row,y")
     p.add_argument("--model", help="checkpoint path (required for dqn)")
+    p.add_argument("--format", choices=("json",), help="print JSON instead of text")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("bench", parents=[common], help="benchmark planners")
+    p = sub.add_parser("bench", help="benchmark planners")
     p.add_argument("--planners", required=True, help="comma list: heuristic,astar,dqn")
-    p.add_argument("--n", type=int, default=1000, help="instances (per size)")
+    p.add_argument("--n", type=_count, default=1000, help="instances (per size)")
     p.add_argument("--rows", type=int, default=65)
     p.add_argument("--len", type=int, default=10)
     p.add_argument("--model", help="checkpoint path (required for dqn)")
     p.add_argument("--scaling", help="comma list of sizes, e.g. 10,65,200")
-    p.add_argument("--repetitions", type=int, default=1, help="timed reps per instance")
+    p.add_argument("--repetitions", type=_count, default=1, help="timed reps per instance")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--output-dir", default=".", help="directory for generated files")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("train", parents=[common], help="train the policy")
+    p = sub.add_parser("train", help="train the policy")
     p.add_argument("--stages", required=True, help='"5" or "5..65:5"')
-    p.add_argument("--steps", type=int, required=True, help="env steps per stage")
+    p.add_argument("--steps", type=_count, required=True, help="env steps per stage")
     p.add_argument("--len", type=int, default=10)
     p.add_argument("--out", required=True, help="checkpoint path to write")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("simulate", parents=[common], help="replay an action sequence")
+    p = sub.add_parser("simulate", help="replay an action sequence")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--start", required=True, help="x,y,orientation")
     p.add_argument("--goal", required=True, help="row,y")
     p.add_argument("--actions", required=True, help="JSON [[orientation,move],...]")
+    p.add_argument("--format", choices=("json",), help="print JSON instead of text")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("export", parents=[common], help="compile metric waypoints")
+    p = sub.add_parser("export", help="compile metric waypoints")
     p.add_argument("--plan-json", required=True, help="document from plan --format json")
     p.add_argument("--geometry", required=True, help="geometry config file")
     p.add_argument(
         "--frame", choices=("local", "world"), default="local", help="output frame"
     )
+    p.add_argument("--output-dir", default=".", help="directory for generated files")
+    p.add_argument("--format", choices=("csv", "json"), help="write only this format")
     p.set_defaults(func=cmd_export)
     return parser
 

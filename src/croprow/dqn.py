@@ -12,8 +12,7 @@ here so the training loop has no dependencies beyond numpy.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,13 +21,10 @@ from croprow.world import (
     Action,
     Episode,
     FieldSpec,
-    GoalSpec,
     RobotState,
     at_headland,
-    is_goal,
     observe,
-    sample_goal,
-    sample_state,
+    sample_instance,
 )
 
 CHECKPOINT_VERSION = 1
@@ -132,15 +128,25 @@ class QNetwork:
             out.append(b)
         return out
 
+    @classmethod
+    def from_parameters(
+        cls, weights: list[np.ndarray], biases: list[np.ndarray]
+    ) -> QNetwork:
+        """Network over the given layer arrays, which it takes without
+        copying; the layer sizes and dtype are read from the arrays."""
+        net = cls.__new__(cls)
+        net.weights = list(weights)
+        net.biases = list(biases)
+        net.input_dim = net.weights[0].shape[0]
+        net.hidden_sizes = tuple(W.shape[1] for W in net.weights[:-1])
+        net.output_dim = net.weights[-1].shape[1]
+        net.dtype = net.weights[0].dtype.type
+        return net
+
     def copy(self) -> QNetwork:
-        clone = QNetwork.__new__(QNetwork)
-        clone.input_dim = self.input_dim
-        clone.hidden_sizes = self.hidden_sizes
-        clone.output_dim = self.output_dim
-        clone.dtype = self.dtype
-        clone.weights = [W.copy() for W in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
+        return QNetwork.from_parameters(
+            [W.copy() for W in self.weights], [b.copy() for b in self.biases]
+        )
 
     def load_from(self, other: QNetwork) -> None:
         """Bitwise parameter copy (target-network sync)."""
@@ -385,17 +391,6 @@ def train_step(
     return loss
 
 
-def _fresh_episode(
-    field: FieldSpec, rng: np.random.Generator
-) -> tuple[Episode, GoalSpec]:
-    """Random start and goal, redrawn until the start is not already terminal."""
-    while True:
-        start = sample_state(field, rng)
-        goal = sample_goal(field, rng)
-        if not is_goal(field, start, goal):
-            return Episode(field, start, goal), goal
-
-
 def train_stage(
     stage: CurriculumStage,
     cfg: TrainConfig,
@@ -427,7 +422,8 @@ def train_stage(
     buffer = ReplayBuffer(cfg.buffer_capacity, OBS_DIM, net.output_dim)
 
     logs: list[EpisodeLog] = []
-    episode, goal = _fresh_episode(field, rng)
+    start, goal = sample_instance(field, rng)
+    episode = Episode(field, start, goal)
     obs = observe(episode.state, goal, field).astype(np.float32)
     ep_return = 0.0
     ep_index = 0
@@ -448,7 +444,8 @@ def train_stage(
                 EpisodeLog(ep_index, episode.steps, ep_return, out.done, epsilon)
             )
             ep_index += 1
-            episode, goal = _fresh_episode(field, rng)
+            start, goal = sample_instance(field, rng)
+            episode = Episode(field, start, goal)
             obs = observe(episode.state, goal, field).astype(np.float32)
             ep_return = 0.0
         else:
@@ -490,18 +487,12 @@ def run_curriculum(
 def evaluate(
     net: QNetwork, field: FieldSpec, episodes: int, seed: int
 ) -> float:
-    """Greedy success rate over freshly sampled instances."""
+    """Success rate of :func:`plan_dqn` over freshly sampled instances."""
     rng = np.random.default_rng(seed)
     wins = 0
     for _ in range(episodes):
-        episode, goal = _fresh_episode(field, rng)
-        obs = observe(episode.state, goal, field).astype(np.float32)
-        while not episode.done and episode.steps < field.max_steps:
-            mask = valid_action_mask(field, episode.state, net.max_rows)
-            idx = select_action(net, obs, 0.0, mask, None)
-            out = episode.step(index_to_action(idx, net.max_rows))
-            obs = observe(out.next_state, goal, field).astype(np.float32)
-        wins += episode.done
+        start, goal = sample_instance(field, rng)
+        wins += plan_dqn(PlanRequest(field, start, goal), net).success
     return wins / episodes
 
 
@@ -513,7 +504,6 @@ def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:
         raise ValueError(
             f"field has {field.num_rows} rows but the network covers {net.max_rows}"
         )
-    t0 = time.perf_counter_ns()
     episode = Episode(field, request.start, request.goal)
     raw: list[Action] = []
     while not episode.done and episode.steps < field.max_steps:
@@ -522,13 +512,11 @@ def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:
         idx = select_action(net, obs, 0.0, mask, None)
         raw.append(index_to_action(idx, net.max_rows))
         episode.step(raw[-1])
-    elapsed = time.perf_counter_ns() - t0
     success = episode.done
     return PlanResult(
         raw_actions=tuple(raw),
         macro_actions=dedup(raw),
         path_length=episode.total_distance,
-        planning_time_ns=max(elapsed, 1),
         planner_id=PlannerId.DQN,
         success=success,
         failure_reason=None if success else "step budget exhausted",
@@ -565,19 +553,23 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[QNetwork, dict]:
+    """Read a checkpoint written by :func:`save_checkpoint`; raises
+    ValueError when an array's shape disagrees with the layer sizes in meta."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["format_version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-        net = QNetwork.__new__(QNetwork)
-        net.input_dim = meta["input_dim"]
-        net.hidden_sizes = tuple(meta["hidden_sizes"])
-        net.output_dim = meta["output_dim"]
-        net.weights = []
-        net.biases = []
-        for i in range(len(net.hidden_sizes) + 1):
-            net.weights.append(data[f"W{i}"])
-            net.biases.append(data[f"b{i}"])
-        net.dtype = net.weights[0].dtype.type
+        sizes = (meta["input_dim"], *meta["hidden_sizes"], meta["output_dim"])
+        weights, biases = [], []
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            W, b = data[f"W{i}"], data[f"b{i}"]
+            if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+                raise ValueError(
+                    f"checkpoint layer {i} has W{i} {W.shape} and b{i} {b.shape}, "
+                    f"but meta gives ({fan_in}, {fan_out})"
+                )
+            weights.append(W)
+            biases.append(b)
+    net = QNetwork.from_parameters(weights, biases)
     meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
     return net, meta

@@ -16,7 +16,6 @@ deployment pipeline, where a vertical macro runs until a phase boundary.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,7 +56,6 @@ class PlanResult:
     raw_actions: tuple[Action, ...]
     macro_actions: tuple[Action, ...]
     path_length: float
-    planning_time_ns: int
     planner_id: PlannerId
     success: bool = True
     failure_reason: str | None = None
@@ -131,14 +129,6 @@ def expand_macro_legs(
     return raw, legs
 
 
-def expand_macros(
-    field: FieldSpec, start: RobotState, goal: GoalSpec, macros
-) -> list[Action]:
-    """Unit-step expansion of macro actions; see expand_macro_legs."""
-    raw, _ = expand_macro_legs(field, start, macros, goal=goal)
-    return raw
-
-
 def _vertical_run(orientation: int, from_y: int, to_y: int) -> list[Action]:
     """Unit moves between two y positions without reorienting."""
     if to_y == from_y:
@@ -190,16 +180,11 @@ def _heuristic_actions(
 def plan_heuristic(request: PlanRequest) -> PlanResult:
     check_state(request.field, request.start)
     check_goal(request.field, request.goal)
-    t0 = time.perf_counter_ns()
     raw = _heuristic_actions(request.field, request.start, request.goal)
-    macro = dedup(raw)
-    length = path_length_of(request.field, request.start, raw)
-    elapsed = time.perf_counter_ns() - t0
     return PlanResult(
         raw_actions=tuple(raw),
-        macro_actions=macro,
-        path_length=length,
-        planning_time_ns=max(elapsed, 1),
+        macro_actions=dedup(raw),
+        path_length=path_length_of(request.field, request.start, raw),
         planner_id=PlannerId.HEURISTIC,
     )
 
@@ -309,16 +294,11 @@ def _route_to_actions(path: list[RobotState]) -> list[Action]:
 def plan_astar(request: PlanRequest) -> PlanResult:
     check_state(request.field, request.start)
     check_goal(request.field, request.goal)
-    t0 = time.perf_counter_ns()
     route = _astar_route(request.field, request.start, request.goal)
     raw = _route_to_actions(route)
-    macro = dedup(raw)
-    length = path_length_of(request.field, request.start, raw)
-    elapsed = time.perf_counter_ns() - t0
     return PlanResult(
         raw_actions=tuple(raw),
-        macro_actions=macro,
-        path_length=length,
-        planning_time_ns=max(elapsed, 1),
+        macro_actions=dedup(raw),
+        path_length=path_length_of(request.field, request.start, raw),
         planner_id=PlannerId.GRAPH_ASTAR,
     )

@@ -96,19 +96,6 @@ class WaypointPath:
         )
 
 
-def snap_to_sections(real_y_m: float, corridor_length_m: float) -> int:
-    """Nearest of the 10 section centers; half-up at boundaries."""
-    if corridor_length_m <= 0:
-        raise ValueError(f"corridor_length_m must be > 0, got {corridor_length_m}")
-    if not 0 <= real_y_m <= corridor_length_m:
-        raise ValueError(
-            f"y = {real_y_m} outside corridor [0, {corridor_length_m}]"
-        )
-    # round-half-up of 10*y/len - 0.5, which reduces to the containing tenth
-    index = math.floor(10.0 * real_y_m / corridor_length_m)
-    return min(max(index, 0), 9)
-
-
 def metric_x(corridor_x: float, geometry: FieldGeometry) -> float:
     return corridor_x * geometry.row_spacing_m
 

@@ -19,7 +19,7 @@ corridor (ties grant the bonus).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +125,7 @@ class SimulationResult:
     final_state: RobotState
     steps: int
     failure_reason: str | None = None
+    outcomes: tuple[StepOutcome, ...] = ()  # one per step taken, in order
 
 
 def corridor_positions(field: FieldSpec) -> list[float]:
@@ -133,7 +134,8 @@ def corridor_positions(field: FieldSpec) -> list[float]:
 
 
 def is_corridor(field: FieldSpec, x: float) -> bool:
-    return (x - 0.5) == int(x - 0.5) and 0.5 <= x <= field.num_rows - 1.5
+    # is_integer() is False for inf and nan, where int() would raise
+    return (x - 0.5).is_integer() and 0.5 <= x <= field.num_rows - 1.5
 
 
 def at_headland(field: FieldSpec, y: int) -> bool:
@@ -367,47 +369,33 @@ def simulate(
     goal: GoalSpec,
     actions: list[Action],
 ) -> SimulationResult:
-    """Replay unit actions from start; the only arbiter of plan success."""
+    """Replay unit actions from start; the only arbiter of plan success.
+
+    The replay stops at the goal, at the step budget, or at the first illegal
+    action; ``outcomes`` holds the step outcomes up to that point.
+    """
     episode = Episode(field, start, goal)
-    if episode.done:
-        return SimulationResult(True, 0.0, 0.0, start, 0, None)
+    outcomes: list[StepOutcome] = []
+    reason = "actions exhausted before reaching the goal"
     for i, action in enumerate(actions):
+        if episode.done:
+            break
         if episode.steps >= field.max_steps:
-            return SimulationResult(
-                False,
-                episode.total_distance,
-                episode.total_reward,
-                episode.state,
-                episode.steps,
-                "step budget exhausted",
-            )
+            reason = "step budget exhausted"
+            break
         try:
-            out = episode.step(action)
-        except (IllegalActionError, ValueError) as exc:
-            return SimulationResult(
-                False,
-                episode.total_distance,
-                episode.total_reward,
-                episode.state,
-                episode.steps,
-                f"illegal action at index {i}: {exc}",
-            )
-        if out.done:
-            return SimulationResult(
-                True,
-                episode.total_distance,
-                episode.total_reward,
-                episode.state,
-                episode.steps,
-                None,
-            )
+            outcomes.append(episode.step(action))
+        except ValueError as exc:  # IllegalActionError or a malformed action
+            reason = f"illegal action at index {i}: {exc}"
+            break
     return SimulationResult(
-        False,
+        episode.done,
         episode.total_distance,
         episode.total_reward,
         episode.state,
         episode.steps,
-        "actions exhausted before reaching the goal",
+        None if episode.done else reason,
+        tuple(outcomes),
     )
 
 
@@ -425,6 +413,17 @@ def sample_state(
 
 def sample_goal(field: FieldSpec, rng: np.random.Generator) -> GoalSpec:
     return GoalSpec(int(rng.integers(field.num_rows)), int(rng.integers(field.corridor_len)))
+
+
+def sample_instance(
+    field: FieldSpec, rng: np.random.Generator
+) -> tuple[RobotState, GoalSpec]:
+    """Random start and goal, redrawn until the start is not already terminal."""
+    while True:
+        start = sample_state(field, rng)
+        goal = sample_goal(field, rng)
+        if not is_goal(field, start, goal):
+            return start, goal
 
 
 def all_states(field: FieldSpec) -> list[RobotState]:

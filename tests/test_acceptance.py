@@ -32,7 +32,7 @@ from croprow.planners import (
     PlannerId,
     PlanRequest,
     dedup,
-    expand_macros,
+    expand_macro_legs,
     plan_astar,
     plan_heuristic,
 )
@@ -329,7 +329,7 @@ def test_criterion_7_deployment_format():
     start = RobotState(0.5, 3, 0)
     goal = GoalSpec(6, 4)
     macros = (Action(0, 0), Action(1, 7), Action(1, 0))
-    raw = expand_macros(field, start, goal, macros)
+    raw = expand_macro_legs(field, start, macros, goal=goal)[0]
     deduped = dedup(raw)
     printed = [[a.orientation, a.move] for a in deduped]
     round_trip_ok = printed == [[0, 0], [1, 7], [1, 0]]

@@ -57,7 +57,6 @@ def broken_planner(request) -> PlanResult:
         raw_actions=(),
         macro_actions=(),
         path_length=0.0,
-        planning_time_ns=1,
         planner_id=PlannerId.DQN,
     )
 
@@ -75,6 +74,16 @@ class TestInstances:
         assert [inst.instance_id for inst in a] == list(range(50))
         for inst in a:
             assert not is_goal(field, inst.start, inst.goal)
+
+    def test_draw_order_is_pinned(self):
+        # start then goal per draw, rejected draws included; every seeded
+        # suite and training run depends on this order
+        got = [(i.start, i.goal) for i in generate_instances(FieldSpec(65, 10), 3, seed=0)]
+        assert got == [
+            (RobotState(54.5, 6, 1), GoalSpec(17, 3)),
+            (RobotState(2.5, 0, 0), GoalSpec(11, 8)),
+            (RobotState(41.5, 9, 1), GoalSpec(39, 9)),
+        ]
 
     def test_different_seeds_differ(self):
         field = FieldSpec(6, 8)

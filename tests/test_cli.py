@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from croprow.cli import _parse_stages, main
-from croprow.dqn import load_checkpoint
+from croprow.dqn import QNetwork, TrainConfig, load_checkpoint, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +20,7 @@ def run_cli(capsys, *argv):
 
 
 GEOMETRY = "row_spacing_m = 0.76\ncorridor_length_m = 20\n"
+WHERE = ["--rows", "4", "--len", "5", "--start", "1.5,2,0", "--goal", "2,4"]
 
 
 class TestPlan:
@@ -90,6 +91,7 @@ class TestPlan:
         assert doc["macro_actions"] == [[0, 0], [1, 0]]
         assert doc["path_length"] == 4
         assert doc["success"] is True
+        assert doc["planning_time_ns"] >= 1
 
 
 class TestExport:
@@ -189,6 +191,15 @@ class TestBench:
         doc = json.loads((tmp_path / "scaling.json").read_text())
         assert [entry["num_rows"] for entry in doc["heuristic"]] == [4, 8]
 
+    @pytest.mark.parametrize("planners", ["", ","])
+    def test_no_planner_exits_1(self, capsys, tmp_path, planners):
+        code, _, err = run_cli(
+            capsys, "bench", "--planners", planners, "--n", "2", "--output-dir", str(tmp_path)
+        )
+        assert code == 1
+        assert "no planner" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_planner_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -241,6 +252,17 @@ class TestTrain:
         # an untrained policy may fail to reach the goal, but never crashes
         assert code in (0, 2)
         assert "macro" in out
+
+    def test_model_with_bad_shapes_exits_1(self, capsys, tmp_path):
+        net = QNetwork(10, (8,))
+        net.weights[1] = net.weights[1][:4]  # meta still says 8 hidden units
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, net, TrainConfig(hidden_sizes=(8,)), stage_rows=4, seed=0)
+        code, _, err = run_cli(
+            capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE
+        )
+        assert code == 1
+        assert "layer 1" in err
 
     def test_stage_parser(self):
         assert _parse_stages("5") == [5]
@@ -296,6 +318,28 @@ class TestSimulate:
         assert doc["success"] is True
         assert doc["distance"] == 4
 
+    def test_one_line_per_step_taken(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", *WHERE, "--actions", "[[0,0],[0,0],[0,0],[1,0],[1,0]]"
+        )
+        # the fifth action comes after the goal and is never taken
+        steps = [line.split(":")[0] for line in out.splitlines() if line.startswith("step ")]
+        assert code == 0
+        assert steps == ["step 0", "step 1", "step 2", "step 3"]
+
+    def test_out_of_range_move_fails_alike_in_text_and_json(self, capsys):
+        for extra in ([], ["--format", "json"]):
+            code, out, _ = run_cli(
+                capsys, "simulate", *WHERE, "--actions", "[[0,99]]", *extra
+            )
+            assert code == 2
+            assert "illegal action at index 0" in out
+
+    def test_boolean_action_component_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", *WHERE, "--actions", "[[0,true]]")
+        assert code == 1
+        assert "action 0" in err
+
     def test_bad_actions_json_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -304,6 +348,58 @@ class TestSimulate:
         )
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("start", ["inf,2,0", "-inf,2,0", "nan,2,0"])
+def test_non_finite_start_exits_1(capsys, command, start):
+    extra = ["--planner", "astar"] if command == "plan" else ["--actions", "[]"]
+    where = [*WHERE[:4], f"--start={start}", *WHERE[6:]]  # "=" lets "-inf" through
+    code, _, err = run_cli(capsys, command, *extra, *where)
+    assert code == 1
+    assert "not a corridor centerline" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--planners", "heuristic", "--scaling", "10", "--n", "0"],
+        ["bench", "--planners", "heuristic", "--n", "0"],
+        ["bench", "--planners", "heuristic", "--n", "-3"],
+        ["bench", "--planners", "heuristic", "--n", "2", "--repetitions", "0"],
+        ["train", "--stages", "3", "--steps", "0", "--out", "m.npz"],
+        ["train", "--stages", "3", "--steps", "-4", "--out", "m.npz"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "at least 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--planner", "heuristic", *WHERE, "--seed", "1"],
+        ["plan", "--planner", "heuristic", *WHERE, "--output-dir", "out"],
+        ["plan", "--planner", "heuristic", *WHERE, "--format", "csv"],
+        ["simulate", *WHERE, "--actions", "[]", "--seed", "1"],
+        ["simulate", *WHERE, "--actions", "[]", "--output-dir", "out"],
+        ["simulate", *WHERE, "--actions", "[]", "--format", "csv"],
+        ["train", "--stages", "3", "--steps", "5", "--out", "m.npz", "--output-dir", "out"],
+        ["train", "--stages", "3", "--steps", "5", "--out", "m.npz", "--format", "json"],
+        ["bench", "--planners", "heuristic", "--n", "2", "--format", "json"],
+        ["export", "--plan-json", "p.json", "--geometry", "g.cfg", "--seed", "1"],
+    ],
+)
+def test_removed_no_op_options_exit_1(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "unrecognized arguments" in err or "invalid choice" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from croprow.bench import generate_instances
 from croprow.dqn import (
     Adam,
     CurriculumStage,
@@ -361,6 +362,16 @@ class TestCheckpoint:
             net, obs, 0.0, mask, None
         )
 
+    def test_rejects_arrays_that_disagree_with_meta(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, toy_net(3), TrainConfig(hidden_sizes=(4, 4)), 5, 42)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["W1"] = arrays["W1"][:, :3]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="layer 1"):
+            load_checkpoint(path)
+
 
 class TestPlanDqn:
     def test_terminal_start_succeeds_immediately(self):
@@ -390,5 +401,8 @@ class TestPlanDqn:
 
 def test_evaluate_runs_greedy_rollouts():
     net = toy_net(0, dtype=np.float32)
-    rate = evaluate(net, FieldSpec(3, 3), episodes=20, seed=5)
-    assert 0.0 <= rate <= 1.0
+    field = FieldSpec(3, 3)
+    rate = evaluate(net, field, episodes=20, seed=5)
+    # the success rate of plan_dqn on the instances generate_instances draws
+    instances = generate_instances(field, 20, seed=5)
+    assert rate == sum(plan_dqn(i.request(), net).success for i in instances) / 20

@@ -1,5 +1,5 @@
-"""Route compilation tests: section snapping, centerline geometry, phase
-tagging, serialization round trips, and the geometry config parser."""
+"""Route compilation tests: centerline geometry, phase tagging, serialization
+round trips, and the geometry config parser."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from croprow.waypoints import (
     parse_geometry,
     read_csv,
     read_geojson,
-    snap_to_sections,
     to_geojson,
     to_world,
     write_csv,
@@ -114,35 +113,6 @@ def abstract_back(path: WaypointPath, geometry: FieldGeometry) -> list[Action]:
             move = 0 if group[0].direction is Direction.FORWARD else 1
             actions.append(Action(orientation_of(i), move))
     return actions
-
-
-class TestSnap:
-    def test_known_values(self):
-        assert snap_to_sections(103.0, 207.0) == 4
-        assert snap_to_sections(0.0, 207.0) == 0
-        assert snap_to_sections(207.0, 207.0) == 9
-        # boundary between sections rounds half-up to the upper section
-        assert snap_to_sections(20.7, 207.0) == 1
-        assert snap_to_sections(113.85, 207.0) == 5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            snap_to_sections(-0.1, 207.0)
-        with pytest.raises(ValueError):
-            snap_to_sections(207.1, 207.0)
-        with pytest.raises(ValueError):
-            snap_to_sections(1.0, 0.0)
-
-    @given(
-        y=st.floats(0.0, 1.0, allow_nan=False),
-        length=st.floats(1.0, 500.0, allow_nan=False),
-    )
-    def test_nearest_center(self, y, length):
-        y_m = y * length
-        got = snap_to_sections(y_m, length)
-        v = 10.0 * y_m / length
-        best = min(range(10), key=lambda k: (abs(v - (k + 0.5)), -k))
-        assert got == best
 
 
 class TestGeometry:

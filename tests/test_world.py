@@ -8,6 +8,7 @@ cross-validate each other.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from croprow.world import (
     RobotState,
     all_states,
     at_headland,
+    check_state,
     corridor_positions,
     goal_configs,
+    is_corridor,
     is_goal,
     observe,
     oracle_shortest,
@@ -123,6 +126,13 @@ class TestFieldSpec:
 
     def test_corridors(self):
         assert corridor_positions(FieldSpec(4, 5)) == [0.5, 1.5, 2.5]
+
+    def test_non_finite_x_is_not_a_corridor(self):
+        field = FieldSpec(4, 5)
+        for x in (math.inf, -math.inf, math.nan):
+            assert not is_corridor(field, x)
+            with pytest.raises(ValueError, match="corridor centerline"):
+                check_state(field, RobotState(x, 2, UP))
 
 
 class TestGoalConfigs:
@@ -360,6 +370,14 @@ class TestSimulate:
         result = simulate(self.field, RobotState(0.5, 0, UP), GoalSpec(3, 2), actions)
         assert not result.success
         assert "illegal action at index 1" in result.failure_reason
+
+    def test_outcomes_are_the_steps_taken(self):
+        actions = [Action(UP, FORWARD), Action(UP, FORWARD), Action(UP, 3)]
+        result = simulate(self.field, RobotState(0.5, 0, UP), GoalSpec(3, 2), actions)
+        assert len(result.outcomes) == result.steps == 2
+        assert [o.next_state.y for o in result.outcomes] == [1, 2]
+        assert result.outcomes[-1].next_state == result.final_state
+        assert sum(o.reward for o in result.outcomes) == pytest.approx(result.total_reward)
 
     def test_budget_exhaustion(self):
         field = FieldSpec(2, 1, max_steps=2 * 3 + 2)
