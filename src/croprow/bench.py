@@ -67,25 +67,6 @@ class BenchmarkRecord:
 
 
 @dataclass(frozen=True)
-class DistStats:
-    mean: float
-    median: float
-    q1: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    outliers: int
-
-
-@dataclass(frozen=True)
-class PlannerSummary:
-    count: int
-    success_rate: float
-    time_ns: DistStats
-    path_length: DistStats | None  # over successful runs; None if there were none
-
-
-@dataclass(frozen=True)
 class SizeResult:
     num_rows: int
     instances: int
@@ -164,68 +145,52 @@ def run_benchmark(
     return records
 
 
-def dist_stats(values) -> DistStats:
-    arr = np.asarray(values, dtype=np.float64)
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])  # linear interpolation
-    iqr = q3 - q1
-    lo = q1 - 1.5 * iqr
-    hi = q3 + 1.5 * iqr
-    outliers = int(np.count_nonzero((arr < lo) | (arr > hi)))
-    return DistStats(float(arr.mean()), float(med), float(q1), float(q3), float(lo), float(hi), outliers)
-
-
-def summarize(records: list[BenchmarkRecord]) -> dict[str, PlannerSummary]:
-    """Per-planner stats, keyed by planner name, insertion-ordered by first
-    appearance; path-length stats cover successful runs only."""
+def summarize(records: list[BenchmarkRecord]) -> dict[str, dict]:
+    """The benchmark.json document: per planner, keyed by name and ordered by
+    first appearance, planning-time mean, median and quartiles (linear
+    interpolation), the count of times beyond 1.5 IQR of the quartiles, the
+    success rate, and the mean path length over successful runs (None if
+    there were none)."""
     grouped: dict[str, list[BenchmarkRecord]] = {}
     for record in sorted(records, key=lambda r: (r.instance_id, r.planner_id.value)):
         grouped.setdefault(record.planner_id.value, []).append(record)
-    out: dict[str, PlannerSummary] = {}
+    out: dict[str, dict] = {}
     for name, group in grouped.items():
-        times = [r.planning_time_ns for r in group]
+        times = np.asarray([r.planning_time_ns for r in group], dtype=np.float64)
+        q1, median, q3 = np.percentile(times, [25.0, 50.0, 75.0])
+        reach = 1.5 * (q3 - q1)
         lengths = [r.path_length_units for r in group if r.success]
-        out[name] = PlannerSummary(
-            count=len(group),
-            success_rate=sum(r.success for r in group) / len(group),
-            time_ns=dist_stats(times),
-            path_length=dist_stats(lengths) if lengths else None,
-        )
-    return out
-
-
-def summary_to_json(summaries: dict[str, PlannerSummary]) -> dict:
-    """The documented JSON schema: planner name to its headline numbers."""
-    out = {}
-    for name, s in summaries.items():
         out[name] = {
-            "mean_time_ns": s.time_ns.mean,
-            "median_time_ns": s.time_ns.median,
-            "q1": s.time_ns.q1,
-            "q3": s.time_ns.q3,
-            "outliers": s.time_ns.outliers,
-            "success_rate": s.success_rate,
-            "mean_path_length": s.path_length.mean if s.path_length else None,
+            "mean_time_ns": float(times.mean()),
+            "median_time_ns": float(median),
+            "q1": float(q1),
+            "q3": float(q3),
+            "outliers": int(np.count_nonzero((times < q1 - reach) | (times > q3 + reach))),
+            "success_rate": sum(r.success for r in group) / len(group),
+            "mean_path_length": (
+                float(np.asarray(lengths, dtype=np.float64).mean()) if lengths else None
+            ),
         }
     return out
 
 
-def format_table(summaries: dict[str, PlannerSummary]) -> str:
+def format_table(summary: dict[str, dict]) -> str:
     """Comparison table with the published baseline annotated per planner."""
     lines = [
         f"{'planner':<10} {'mean ms':>9} {'median ms':>10} {'success':>8} "
         f"{'mean path':>10}   {REFERENCE_LABEL}"
     ]
-    for name, s in summaries.items():
+    for name, s in summary.items():
         ref = REFERENCE_BASELINE.get(name)
         note = (
             f"{ref['mean_time_ms']:.2f} ms, {ref['success_rate'] * 100:.2f}%"
             if ref
             else "-"
         )
-        mean_path = f"{s.path_length.mean:.1f}" if s.path_length else "-"
+        mean_path = "-" if s["mean_path_length"] is None else f"{s['mean_path_length']:.1f}"
         lines.append(
-            f"{name:<10} {s.time_ns.mean / 1e6:>9.3f} {s.time_ns.median / 1e6:>10.3f} "
-            f"{s.success_rate * 100:>7.2f}% {mean_path:>10}   {note}"
+            f"{name:<10} {s['mean_time_ns'] / 1e6:>9.3f} {s['median_time_ns'] / 1e6:>10.3f} "
+            f"{s['success_rate'] * 100:>7.2f}% {mean_path:>10}   {note}"
         )
     return "\n".join(lines)
 
@@ -248,42 +213,18 @@ def write_records_csv(records: list[BenchmarkRecord], path) -> None:
             )
 
 
-def read_records_csv(path) -> list[BenchmarkRecord]:
-    out: list[BenchmarkRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER.split(","):
-            raise ValueError(f"unexpected CSV header in {path}")
-        for row in reader:
-            out.append(
-                BenchmarkRecord(
-                    int(row["instance_id"]),
-                    PlannerId(row["planner"]),
-                    row["success"] == "true",
-                    int(row["planning_time_ns"]),
-                    float(row["path_length_units"]),
-                    int(row["num_macro_actions"]),
-                    row["failure_reason"] or None,
-                )
-            )
-    return out
-
-
-def emit_report(
-    records: list[BenchmarkRecord], out_dir, prefix: str = "benchmark"
-) -> dict:
-    """Write <prefix>.csv and <prefix>.json under out_dir; returns the JSON
+def emit_report(records: list[BenchmarkRecord], out_dir) -> dict:
+    """Write benchmark.csv and benchmark.json under out_dir; returns the JSON
     document (with the table under a side key for callers that print it)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: (r.instance_id, r.planner_id.value))
-    write_records_csv(ordered, out_dir / f"{prefix}.csv")
-    summaries = summarize(ordered)
-    doc = summary_to_json(summaries)
-    with open(out_dir / f"{prefix}.json", "w") as fh:
+    write_records_csv(ordered, out_dir / "benchmark.csv")
+    doc = summarize(ordered)
+    with open(out_dir / "benchmark.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return {"summary": doc, "table": format_table(summaries)}
+    return {"summary": doc, "table": format_table(doc)}
 
 
 def scaling_sweep(

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from croprow import __version__
@@ -47,6 +48,9 @@ from croprow.waypoints import (
 from croprow.world import UP, Action, FieldSpec, GoalSpec, RobotState, simulate
 # no longer called here; kept because perfbench/workloads.py traces cli.Episode by name
 from croprow.world import Episode  # noqa: F401
+
+
+PLANNER_NAMES = tuple(planner_id.value for planner_id in PlannerId)
 
 
 def _log(message: str) -> None:
@@ -137,21 +141,19 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _build_planners(names: list[str], model_path: str | None) -> list[Planner]:
+    # looked up per call, so a patched module global is the one called
+    registry = {PlannerId.HEURISTIC: plan_heuristic, PlannerId.GRAPH_ASTAR: plan_astar}
     planners = []
     for name in names:
-        if name == PlannerId.HEURISTIC.value:
-            planners.append(Planner(PlannerId.HEURISTIC, plan_heuristic))
-        elif name == PlannerId.GRAPH_ASTAR.value:
-            planners.append(Planner(PlannerId.GRAPH_ASTAR, plan_astar))
-        elif name == PlannerId.DQN.value:
+        if name not in PLANNER_NAMES:
+            raise ValueError(f"unknown planner {name!r}")
+        planner_id = PlannerId(name)
+        if planner_id is PlannerId.DQN:
             if model_path is None:
                 raise ValueError("planner 'dqn' requires --model")
             net, _ = load_checkpoint(model_path)
-            planners.append(
-                Planner(PlannerId.DQN, lambda request, _net=net: plan_dqn(request, _net))
-            )
-        else:
-            raise ValueError(f"unknown planner {name!r}")
+            registry[planner_id] = lambda request, _net=net: plan_dqn(request, _net)
+        planners.append(Planner(planner_id, registry[planner_id]))
     return planners
 
 
@@ -201,16 +203,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 instances_per_size=args.n,
                 corridor_len=args.len,
+                repetitions=args.repetitions,
             )
-            doc[planner.planner_id.value] = [
-                {
-                    "num_rows": r.num_rows,
-                    "instances": r.instances,
-                    "mean_time_ns": r.mean_time_ns,
-                    "success_rate": r.success_rate,
-                }
-                for r in results
-            ]
+            doc[planner.planner_id.value] = [asdict(r) for r in results]
             print(f"{planner.planner_id.value} scaling:")
             print(f"  {'rows':>5} {'instances':>9} {'mean ms':>9} {'success':>8}")
             for r in results:
@@ -350,7 +345,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("plan", help="plan one route")
-    p.add_argument("--planner", required=True, choices=("heuristic", "astar", "dqn"))
+    p.add_argument("--planner", required=True, choices=PLANNER_NAMES)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--start", required=True, help="x,y,orientation")

@@ -29,15 +29,17 @@ from croprow.world import (
 
 CHECKPOINT_VERSION = 1
 OBS_DIM = 5
+# exploration decays linearly from EPSILON_START to EPSILON_FINAL over the
+# first EPSILON_DECAY_FRACTION of a stage's steps, then stays there
+EPSILON_START = 1.0
+EPSILON_FINAL = 0.05
+EPSILON_DECAY_FRACTION = 0.5
+GRAD_CLIP_NORM = 10.0  # global L2 norm of one update's gradients
 
 
 def action_space_size(max_rows: int) -> int:
     """2 orientations x (forward, backward, switch to each of max_rows-1 corridors)."""
     return 2 * (max_rows + 1)
-
-
-def action_to_index(action: Action, max_rows: int) -> int:
-    return action.orientation * (max_rows + 1) + action.move
 
 
 def index_to_action(index: int, max_rows: int) -> Action:
@@ -91,10 +93,7 @@ class QNetwork:
         return self.output_dim // 2 - 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=self.dtype)
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
-        return h @ self.weights[-1] + self.biases[-1]
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping layer activations for backprop."""
@@ -276,23 +275,17 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every training knob in one place."""
+    """The training settings callers choose; the exploration schedule, the
+    gradient clip and Adam's moment rates are fixed."""
 
     gamma: float = 0.99
     learning_rate: float = 1e-4
     batch_size: int = 64
     buffer_capacity: int = 100_000
     target_sync_interval: int = 1_000
-    epsilon_start: float = 1.0
-    epsilon_final: float = 0.05
-    epsilon_decay_fraction: float = 0.5  # of the stage's steps
     train_frequency: int = 4
     learning_starts: int = 1_000
-    grad_clip_norm: float = 10.0
     huber_delta: float | None = None  # None trains on squared error
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden_sizes: tuple[int, ...] = (1024, 1024, 1024)
 
 
@@ -312,24 +305,10 @@ class EpisodeLog:
     epsilon: float
 
 
-def curriculum_stages(
-    steps_per_stage: int,
-    first_rows: int = 5,
-    last_rows: int = 65,
-    rows_step: int = 5,
-    corridor_len: int = 10,
-) -> list[CurriculumStage]:
-    """Default schedule: field width grows from 5 to 65 rows in steps of 5."""
-    return [
-        CurriculumStage(rows, steps_per_stage, corridor_len)
-        for rows in range(first_rows, last_rows + 1, rows_step)
-    ]
-
-
-def epsilon_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    horizon = max(1, int(total_steps * cfg.epsilon_decay_fraction))
+def epsilon_at(step: int, total_steps: int) -> float:
+    horizon = max(1, int(total_steps * EPSILON_DECAY_FRACTION))
     frac = min(1.0, step / horizon)
-    return cfg.epsilon_start + frac * (cfg.epsilon_final - cfg.epsilon_start)
+    return EPSILON_START + frac * (EPSILON_FINAL - EPSILON_START)
 
 
 def select_action(
@@ -386,7 +365,7 @@ def train_step(
     loss, dW, db = bellman_loss_and_grads(
         net, obs, actions, targets, huber_delta=cfg.huber_delta
     )
-    clip_gradients(dW, db, cfg.grad_clip_norm)
+    clip_gradients(dW, db, GRAD_CLIP_NORM)
     optimizer.step(net, dW, db)
     return loss
 
@@ -418,7 +397,7 @@ def train_stage(
         )
     max_rows = net.max_rows
     target_net = net.copy()
-    optimizer = Adam(net, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    optimizer = Adam(net, cfg.learning_rate)
     buffer = ReplayBuffer(cfg.buffer_capacity, OBS_DIM, net.output_dim)
 
     logs: list[EpisodeLog] = []
@@ -427,10 +406,9 @@ def train_stage(
     obs = observe(episode.state, goal, field).astype(np.float32)
     ep_return = 0.0
     ep_index = 0
-    epsilon = cfg.epsilon_start
 
     for step_i in range(stage.steps):
-        epsilon = epsilon_at(step_i, stage.steps, cfg)
+        epsilon = epsilon_at(step_i, stage.steps)
         mask = valid_action_mask(field, episode.state, max_rows)
         action_idx = select_action(net, obs, epsilon, mask, rng)
         out = episode.step(index_to_action(action_idx, max_rows))
@@ -554,12 +532,17 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[QNetwork, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`; raises
-    ValueError when an array's shape disagrees with the layer sizes in meta."""
+    ValueError when meta is malformed or an array's shape disagrees with the
+    layer sizes in meta."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        if meta["format_version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-        sizes = (meta["input_dim"], *meta["hidden_sizes"], meta["output_dim"])
+        try:
+            if meta["format_version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
+            sizes = (meta["input_dim"], *meta["hidden_sizes"], meta["output_dim"])
+            meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
+        except TypeError as exc:
+            raise ValueError(f"malformed checkpoint meta: {exc}") from exc
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
             W, b = data[f"W{i}"], data[f"b{i}"]
@@ -570,6 +553,4 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
                 )
             weights.append(W)
             biases.append(b)
-    net = QNetwork.from_parameters(weights, biases)
-    meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
-    return net, meta
+    return QNetwork.from_parameters(weights, biases), meta

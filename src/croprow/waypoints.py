@@ -81,6 +81,9 @@ class WaypointPath:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("a waypoint path needs at least one point")
+        for p in self.points:
+            if not (math.isfinite(p.x_m) and math.isfinite(p.y_m)):
+                raise ValueError(f"waypoint coordinates must be finite, got {p}")
         for a, b in zip(self.points, self.points[1:]):
             if a.x_m == b.x_m and a.y_m == b.y_m:
                 raise ValueError(f"consecutive duplicate waypoint at {a}")
@@ -188,18 +191,6 @@ def write_csv(path: WaypointPath, file_path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(file_path) -> WaypointPath:
-    with open(file_path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER!r} in {file_path}")
-    points = []
-    for line in lines[1:]:
-        x, y, phase, direction = line.split(",")
-        points.append(Waypoint(float(x), float(y), Phase(phase), Direction(direction)))
-    return WaypointPath(tuple(points))
-
-
 def to_geojson(path: WaypointPath) -> dict:
     coords = [[p.x_m, p.y_m] for p in path.points]
     if len(coords) == 1:
@@ -216,35 +207,10 @@ def to_geojson(path: WaypointPath) -> dict:
     }
 
 
-def from_geojson(doc: dict) -> WaypointPath:
-    geometry = doc["geometry"]
-    if geometry["type"] == "Point":
-        coords = [geometry["coordinates"]]
-    elif geometry["type"] == "LineString":
-        coords = geometry["coordinates"]
-    else:
-        raise ValueError(f"unsupported geometry type {geometry['type']!r}")
-    phases = doc["properties"]["phase"]
-    directions = doc["properties"]["direction"]
-    if not (len(coords) == len(phases) == len(directions)):
-        raise ValueError("coordinate and property lengths disagree")
-    return WaypointPath(
-        tuple(
-            Waypoint(float(x), float(y), Phase(ph), Direction(d))
-            for (x, y), ph, d in zip(coords, phases, directions)
-        )
-    )
-
-
 def write_geojson(path: WaypointPath, file_path) -> None:
     with open(file_path, "w") as fh:
         json.dump(to_geojson(path), fh, indent=2)
         fh.write("\n")
-
-
-def read_geojson(file_path) -> WaypointPath:
-    with open(file_path) as fh:
-        return from_geojson(json.load(fh))
 
 
 _GEOMETRY_DEFAULTS = {

@@ -3,6 +3,7 @@ schema, and the summary statistics."""
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -16,15 +17,12 @@ from croprow.bench import (
     BenchmarkRecord,
     Instance,
     Planner,
-    dist_stats,
     emit_report,
     format_table,
     generate_instances,
-    read_records_csv,
     run_benchmark,
     scaling_sweep,
     summarize,
-    summary_to_json,
     write_records_csv,
 )
 from croprow.planners import (
@@ -37,6 +35,26 @@ from croprow.world import Action, FieldSpec, GoalSpec, RobotState, is_goal, orac
 
 HEURISTIC = Planner(PlannerId.HEURISTIC, plan_heuristic)
 ASTAR = Planner(PlannerId.GRAPH_ASTAR, plan_astar)
+
+
+def csv_records(path) -> list[BenchmarkRecord]:
+    """The records in a file written by write_records_csv, parsed here with
+    the csv module alone."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == CSV_HEADER.split(",")
+        return [
+            BenchmarkRecord(
+                int(row["instance_id"]),
+                PlannerId(row["planner"]),
+                {"true": True, "false": False}[row["success"]],
+                int(row["planning_time_ns"]),
+                float(row["path_length_units"]),
+                int(row["num_macro_actions"]),
+                row["failure_reason"] or None,
+            )
+            for row in reader
+        ]
 
 
 class CountingPlanner:
@@ -145,22 +163,28 @@ class TestRunBenchmark:
             run_benchmark([HEURISTIC], [], repetitions=0)
 
 
+def timing_records(times_ns) -> list[BenchmarkRecord]:
+    return [
+        BenchmarkRecord(i, PlannerId.HEURISTIC, True, t, 1.0, 1)
+        for i, t in enumerate(times_ns)
+    ]
+
+
 class TestStats:
     def test_quartiles_and_outliers(self):
-        s = dist_stats([1, 2, 3, 4, 100])
-        assert s.q1 == 2.0
-        assert s.median == 3.0
-        assert s.q3 == 4.0
-        assert s.whisker_low == -1.0
-        assert s.whisker_high == 7.0
-        assert s.outliers == 1
-        assert s.mean == 22.0
+        s = summarize(timing_records([1, 2, 3, 4, 100]))["heuristic"]
+        assert s["q1"] == 2.0
+        assert s["median_time_ns"] == 3.0
+        assert s["q3"] == 4.0
+        # whiskers at -1 and 7: only 100 lies beyond them
+        assert s["outliers"] == 1
+        assert s["mean_time_ns"] == 22.0
 
     def test_even_count_interpolates(self):
-        s = dist_stats([1, 2, 3, 4])
-        assert s.q1 == 1.75
-        assert s.median == 2.5
-        assert s.q3 == 3.25
+        s = summarize(timing_records([1, 2, 3, 4]))["heuristic"]
+        assert s["q1"] == 1.75
+        assert s["median_time_ns"] == 2.5
+        assert s["q3"] == 3.25
 
     def test_path_stats_over_successes_only(self):
         records = [
@@ -169,16 +193,56 @@ class TestStats:
             BenchmarkRecord(2, PlannerId.DQN, True, 30, 6.0, 2),
         ]
         summary = summarize(records)["dqn"]
-        assert summary.count == 3
-        assert summary.success_rate == pytest.approx(2 / 3)
-        assert summary.path_length.mean == 5.0
-        assert summary.time_ns.mean == 20.0
+        assert summary["success_rate"] == pytest.approx(2 / 3)
+        assert summary["mean_path_length"] == 5.0
+        assert summary["mean_time_ns"] == 20.0
 
     def test_all_failures_gives_no_path_stats(self):
         records = [BenchmarkRecord(0, PlannerId.DQN, False, 5, 0.0, 0, "x")]
-        summary = summarize(records)["dqn"]
-        assert summary.path_length is None
-        assert summary_to_json(summarize(records))["dqn"]["mean_path_length"] is None
+        assert summarize(records)["dqn"]["mean_path_length"] is None
+
+    def test_summary_and_table_are_pinned(self):
+        R, P = BenchmarkRecord, PlannerId
+        lost = "step budget exhausted"
+        records = [
+            R(3, P.GRAPH_ASTAR, True, 1_480_000, 14.0, 3),
+            R(0, P.HEURISTIC, True, 250_000, 12.0, 3),
+            R(0, P.GRAPH_ASTAR, True, 1_300_000, 12.0, 3),
+            R(1, P.HEURISTIC, True, 310_000, 9.0, 2),
+            R(1, P.DQN, False, 2_900_000, 40.0, 7, lost),
+            R(2, P.HEURISTIC, True, 275_000, 17.0, 3),
+            R(2, P.GRAPH_ASTAR, True, 9_700_000, 15.0, 3),
+            R(1, P.GRAPH_ASTAR, True, 1_210_000, 9.0, 2),
+            R(0, P.DQN, False, 2_600_000, 13.0, 4, lost),
+            R(3, P.HEURISTIC, True, 260_000, 14.0, 3),
+            R(2, P.DQN, False, 2_750_000, 16.0, 4, lost),
+        ]
+        summary = summarize(records)
+        # pinned: keys, planner order and values of benchmark.json, and the table
+        assert list(summary.items()) == [
+            ("astar", {
+                "mean_time_ns": 3422500.0, "median_time_ns": 1390000.0,
+                "q1": 1277500.0, "q3": 3535000.0, "outliers": 1,
+                "success_rate": 1.0, "mean_path_length": 12.5,
+            }),
+            ("dqn", {
+                "mean_time_ns": 2750000.0, "median_time_ns": 2750000.0,
+                "q1": 2675000.0, "q3": 2825000.0, "outliers": 0,
+                "success_rate": 0.0, "mean_path_length": None,
+            }),
+            ("heuristic", {
+                "mean_time_ns": 273750.0, "median_time_ns": 267500.0,
+                "q1": 257500.0, "q3": 283750.0, "outliers": 0,
+                "success_rate": 1.0, "mean_path_length": 13.0,
+            }),
+        ]
+        assert format_table(summary) == (
+            "planner      mean ms  median ms  success  mean path   "
+            "published baseline (original study hardware)\n"
+            "astar          3.422      1.390  100.00%       12.5   1.40 ms, 99.13%\n"
+            "dqn            2.750      2.750    0.00%          -   2.78 ms, 96.33%\n"
+            "heuristic      0.274      0.268  100.00%       13.0   0.28 ms, 100.00%"
+        )
 
 
 class TestReport:
@@ -193,7 +257,7 @@ class TestReport:
         write_records_csv(records, path)
         first_line = path.read_text().splitlines()[0]
         assert first_line == CSV_HEADER
-        assert read_records_csv(path) == records
+        assert csv_records(path) == records
 
     def test_round_trip_preserves_failure_reasons(self, tmp_path):
         records = [
@@ -202,11 +266,11 @@ class TestReport:
         ]
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
-        assert read_records_csv(path) == records
+        assert csv_records(path) == records
 
     def test_summary_json_schema(self):
         instances = generate_instances(FieldSpec(5, 5), 6, seed=8)
-        doc = summary_to_json(summarize(run_benchmark([HEURISTIC], instances)))
+        doc = summarize(run_benchmark([HEURISTIC], instances))
         assert set(doc) == {"heuristic"}
         assert set(doc["heuristic"]) == {
             "mean_time_ns",
@@ -222,10 +286,10 @@ class TestReport:
     def test_emit_report_writes_files(self, tmp_path):
         instances = generate_instances(FieldSpec(5, 5), 6, seed=8)
         records = run_benchmark([HEURISTIC, ASTAR], instances)
-        out = emit_report(records, tmp_path, prefix="run1")
-        with open(tmp_path / "run1.json") as fh:
+        out = emit_report(records, tmp_path)
+        with open(tmp_path / "benchmark.json") as fh:
             assert json.load(fh) == out["summary"]
-        assert read_records_csv(tmp_path / "run1.csv") == sorted(
+        assert csv_records(tmp_path / "benchmark.csv") == sorted(
             records, key=lambda r: (r.instance_id, r.planner_id.value)
         )
         assert REFERENCE_LABEL in out["table"]

@@ -7,8 +7,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from croprow import cli
 from croprow.cli import _parse_stages, main
 from croprow.dqn import QNetwork, TrainConfig, load_checkpoint, save_checkpoint
 
@@ -93,6 +95,14 @@ class TestPlan:
         assert doc["success"] is True
         assert doc["planning_time_ns"] >= 1
 
+    def test_calls_the_module_global_planner(self, capsys, monkeypatch):
+        calls = []
+        plan = cli.plan_astar
+        monkeypatch.setattr(cli, "plan_astar", lambda request: calls.append(1) or plan(request))
+        code, _, _ = run_cli(capsys, "plan", "--planner", "astar", *WHERE)
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestExport:
     def make_plan_json(self, capsys, tmp_path):
@@ -155,6 +165,33 @@ class TestExport:
         assert code == 1
         assert "row_gap" in err
 
+    @pytest.mark.parametrize(
+        "geometry, frame",
+        [
+            (GEOMETRY + "origin_e = nan\n", "world"),
+            (GEOMETRY + "headland_offset_m = inf\n", "local"),
+            # finite per point until the route switches past corridor 1.5
+            ("row_spacing_m = 1e308\ncorridor_length_m = 20\n", "local"),
+        ],
+        ids=["nan-origin-world-frame", "inf-headland-offset", "huge-row-spacing"],
+    )
+    def test_non_finite_coordinates_exit_1_writing_nothing(
+        self, capsys, tmp_path, geometry, frame
+    ):
+        plan_path = self.make_plan_json(capsys, tmp_path)
+        geometry_path = tmp_path / "geom.cfg"
+        geometry_path.write_text(geometry)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys,
+            "export", "--plan-json", str(plan_path), "--geometry", str(geometry_path),
+            "--output-dir", str(out_dir), "--frame", frame,
+        )
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
+        assert not out_dir.exists()
+
 
 class TestBench:
     def test_small_run_and_determinism(self, capsys, tmp_path):
@@ -190,6 +227,22 @@ class TestBench:
         assert (tmp_path / "scaling.json").exists()
         doc = json.loads((tmp_path / "scaling.json").read_text())
         assert [entry["num_rows"] for entry in doc["heuristic"]] == [4, 8]
+        assert [list(entry) for entry in doc["heuristic"]] == [
+            ["num_rows", "instances", "mean_time_ns", "success_rate"]
+        ] * 2
+
+    def test_scaling_honours_repetitions(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        plan = cli.plan_heuristic
+        monkeypatch.setattr(cli, "plan_heuristic", lambda request: calls.append(1) or plan(request))
+        code, _, _ = run_cli(
+            capsys,
+            "bench", "--planners", "heuristic", "--scaling", "4,6", "--n", "3",
+            "--repetitions", "5", "--len", "5", "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        # per size: 3 instances x (1 warm-up + 5 timed calls)
+        assert len(calls) == 2 * 3 * (1 + 5)
 
     @pytest.mark.parametrize("planners", ["", ","])
     def test_no_planner_exits_1(self, capsys, tmp_path, planners):
@@ -207,7 +260,7 @@ class TestBench:
             "--output-dir", str(tmp_path),
         )
         assert code == 1
-        assert "dijkstra" in err
+        assert "unknown planner 'dijkstra'" in err
 
 
 class TestTrain:
@@ -263,6 +316,58 @@ class TestTrain:
         )
         assert code == 1
         assert "layer 1" in err
+
+    @staticmethod
+    def save_with_meta(path, edit) -> None:
+        """A 4-row checkpoint whose meta JSON is passed through edit."""
+        save_checkpoint(path, QNetwork(10, (8,)), TrainConfig(hidden_sizes=(8,)), 4, 0)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["meta"] = np.array(json.dumps(edit(json.loads(str(arrays["meta"])))))
+        np.savez(path, **arrays)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: list(meta.values()),
+            lambda meta: {**meta, "hidden_sizes": 8},
+            lambda meta: {**meta, "train_config": None},
+        ],
+        ids=["meta-is-a-list", "hidden-sizes-is-an-int", "train-config-is-null"],
+    )
+    def test_model_with_malformed_meta_exits_1(self, capsys, tmp_path, edit):
+        path = tmp_path / "bad.npz"
+        self.save_with_meta(path, edit)
+        with pytest.raises(ValueError, match="malformed checkpoint meta"):
+            load_checkpoint(path)
+        code, _, err = run_cli(
+            capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE[:4],
+            "--start", "0.5,1,0", "--goal", "1,3",
+        )
+        assert code == 1
+        assert "malformed checkpoint meta" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_with_sixteen_setting_config_loads_and_plans(self, capsys, tmp_path):
+        # checkpoints written while TrainConfig also held the exploration
+        # schedule, the clip norm and Adam's moment settings
+        old_settings = {
+            "epsilon_start": 1.0, "epsilon_final": 0.05, "epsilon_decay_fraction": 0.5,
+            "grad_clip_norm": 10.0, "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+        }
+        path = tmp_path / "old.npz"
+        self.save_with_meta(
+            path, lambda meta: {**meta, "train_config": {**meta["train_config"], **old_settings}}
+        )
+        _, meta = load_checkpoint(path)
+        assert len(meta["train_config"]) == 16
+        assert meta["train_config"]["hidden_sizes"] == (8,)
+        code, out, _ = run_cli(
+            capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE[:4],
+            "--start", "0.5,1,0", "--goal", "1,3",
+        )
+        assert code in (0, 2)  # an untrained policy may miss the goal
+        assert "macro" in out
 
     def test_stage_parser(self):
         assert _parse_stages("5") == [5]

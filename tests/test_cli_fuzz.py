@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,12 @@ from hypothesis import strategies as st
 from croprow.cli import main
 from croprow.dqn import QNetwork, TrainConfig, action_space_size, save_checkpoint
 
+GEOMETRIES = {
+    "geometry.txt": "row_spacing_m = 0.76\ncorridor_length_m = 20\n",
+    "nan_origin.txt": "row_spacing_m = 0.76\ncorridor_length_m = 20\norigin_e = nan\n",
+    "inf_headland.txt": "row_spacing_m = 0.76\ncorridor_length_m = 20\nheadland_offset_m = inf\n",
+    "huge_spacing.txt": "row_spacing_m = 1e308\ncorridor_length_m = 20\n",
+}
 PATHS = ("plan.json", "geometry.txt", "bad_geometry.txt", "model.npz", "bad_model.npz", "missing")
 NUMBERS = st.sampled_from(("-1", "0", "0.5", "1", "1.5", "2", "2.5", "inf", "-inf", "nan", "1e400", "x", ""))
 
@@ -173,7 +180,8 @@ def workdir(tmp_path_factory):
         code, out, _ = run([*PLAN, "--format", "json"])
     assert code == 0
     (path / "plan.json").write_text(out)
-    (path / "geometry.txt").write_text("row_spacing_m = 0.76\ncorridor_length_m = 20\n")
+    for name, text in GEOMETRIES.items():
+        (path / name).write_text(text)
     (path / "bad_geometry.txt").write_text("row_gap = 3\n")
     cfg = TrainConfig(hidden_sizes=(8,))
     net = QNetwork(action_space_size(6), (8,))
@@ -217,6 +225,8 @@ SMALL = st.one_of(
     st.integers(-2, 8),
     st.sampled_from([2.5, float("inf"), float("nan"), "3", "x", None, True, [], {}]),
 )
+# the README example plan, which switches from corridor 0.5 to 6.5
+README_PLAN = {"rows": 10, "len": 10, "start": [0.5, 3, 0], "goal": [6, 4], "macro_actions": [[0, 0], [1, 7], [1, 0]]}
 PLAN_DOCS = st.one_of(
     st.fixed_dictionaries(
         {
@@ -232,15 +242,29 @@ PLAN_DOCS = st.one_of(
 )
 
 
-@given(doc=PLAN_DOCS)
+def _reject_constant(name):
+    raise AssertionError(f"export wrote {name} into its GeoJSON")
+
+
+@given(doc=PLAN_DOCS, geometry=st.sampled_from(sorted(GEOMETRIES)), frame=st.sampled_from(("local", "world")))
 @settings(max_examples=100, deadline=None)
-@example(doc={"rows": 4, "len": 5, "start": [1.5, 2, 0], "macro_actions": [], "goal": [2]})
-@example(doc={"rows": float("inf"), "len": 5, "start": [1.5, 2, 0], "macro_actions": []})
-@example(doc=["rows", "len", "start", "macro_actions"])
-def test_export_survives_any_plan_document(workdir, doc):
+@example(doc={"rows": 4, "len": 5, "start": [1.5, 2, 0], "macro_actions": [], "goal": [2]}, geometry="geometry.txt", frame="local")
+@example(doc={"rows": float("inf"), "len": 5, "start": [1.5, 2, 0], "macro_actions": []}, geometry="geometry.txt", frame="local")
+@example(doc=["rows", "len", "start", "macro_actions"], geometry="geometry.txt", frame="local")
+@example(doc=README_PLAN, geometry="nan_origin.txt", frame="world")
+@example(doc=README_PLAN, geometry="inf_headland.txt", frame="local")
+@example(doc=README_PLAN, geometry="huge_spacing.txt", frame="local")
+def test_export_survives_any_plan_document(workdir, doc, geometry, frame):
+    """Any plan document and geometry: the exit-code contract holds, and an
+    export that succeeds wrote GeoJSON with finite coordinates only."""
     with _inside(workdir):
         with open("fuzzed_plan.json", "w") as fh:
             json.dump(doc, fh)
-        run_checked(
-            ["export", "--plan-json", "fuzzed_plan.json", "--geometry", "geometry.txt", "--output-dir", "out"]
+        shutil.rmtree("out", ignore_errors=True)
+        code, _ = run_checked(
+            ["export", "--plan-json", "fuzzed_plan.json", "--geometry", geometry,
+             "--frame", frame, "--output-dir", "out"]
         )
+        if code == 0:
+            with open("out/waypoints.geojson") as fh:
+                json.load(fh, parse_constant=_reject_constant)

@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 from croprow.bench import generate_instances
+from croprow.cli import _parse_stages
 from croprow.dqn import (
     Adam,
     CurriculumStage,
@@ -19,10 +20,8 @@ from croprow.dqn import (
     ReplayBuffer,
     TrainConfig,
     action_space_size,
-    action_to_index,
     bellman_loss_and_grads,
     clip_gradients,
-    curriculum_stages,
     epsilon_at,
     evaluate,
     index_to_action,
@@ -67,7 +66,8 @@ class TestActionCoding:
         max_rows = 65
         assert action_space_size(max_rows) == 132
         for idx in range(action_space_size(max_rows)):
-            assert action_to_index(index_to_action(idx, max_rows), max_rows) == idx
+            action = index_to_action(idx, max_rows)
+            assert action.orientation * (max_rows + 1) + action.move == idx
 
     def test_layout(self):
         assert index_to_action(0, 65) == Action(UP, 0)
@@ -329,14 +329,13 @@ class TestTraining:
 
 class TestSchedule:
     def test_epsilon_endpoints(self):
-        cfg = TrainConfig()
-        assert epsilon_at(0, 1000, cfg) == 1.0
-        assert epsilon_at(500, 1000, cfg) == pytest.approx(0.05)
-        assert epsilon_at(999, 1000, cfg) == pytest.approx(0.05)
-        assert epsilon_at(250, 1000, cfg) == pytest.approx(0.525)
+        assert epsilon_at(0, 1000) == 1.0
+        assert epsilon_at(500, 1000) == pytest.approx(0.05)
+        assert epsilon_at(999, 1000) == pytest.approx(0.05)
+        assert epsilon_at(250, 1000) == pytest.approx(0.525)
 
     def test_default_curriculum_shape(self):
-        stages = curriculum_stages(steps_per_stage=1000)
+        stages = [CurriculumStage(rows, 1000) for rows in _parse_stages("5..65:5")]
         assert [s.num_rows for s in stages] == list(range(5, 66, 5))
         assert all(s.corridor_len == 10 for s in stages)
         assert action_space_size(stages[-1].num_rows) == 132

@@ -3,6 +3,8 @@ round trips, and the geometry config parser."""
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import pytest
@@ -18,12 +20,9 @@ from croprow.waypoints import (
     Waypoint,
     WaypointPath,
     compile_route,
-    from_geojson,
     load_geometry,
     metric_y,
     parse_geometry,
-    read_csv,
-    read_geojson,
     to_geojson,
     to_world,
     write_csv,
@@ -265,14 +264,13 @@ class TestExport:
         text = file_path.read_text().splitlines()
         assert text[0] == CSV_HEADER
         assert len(text) == 1 + len(path)
-        assert read_csv(file_path) == path
+        with open(file_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [
+            Waypoint(float(r["x_m"]), float(r["y_m"]), Phase(r["phase"]), Direction(r["direction"]))
+            for r in rows
+        ] == list(path.points)
         assert ",switch,forward" in text[9]
-
-    def test_csv_rejects_bad_header(self, tmp_path):
-        file_path = tmp_path / "bad.csv"
-        file_path.write_text("a,b,c,d\n1,2,exit,forward\n")
-        with pytest.raises(ValueError):
-            read_csv(file_path)
 
     def test_geojson_round_trip(self, tmp_path):
         path = self.build_path()
@@ -283,19 +281,23 @@ class TestExport:
         assert doc["properties"]["phase"][0] == "exit"
         file_path = tmp_path / "route.geojson"
         write_geojson(path, file_path)
-        back = read_geojson(file_path)
-        assert len(back) == len(path)
-        for a, b in zip(back.points, path.points):
-            assert a.x_m == pytest.approx(b.x_m, abs=1e-9)
-            assert a.y_m == pytest.approx(b.y_m, abs=1e-9)
-            assert (a.phase, a.direction) == (b.phase, b.direction)
+        with open(file_path) as fh:
+            back = json.load(fh)
+        assert back["geometry"]["coordinates"] == [[p.x_m, p.y_m] for p in path.points]
+        assert back["properties"] == {
+            "phase": [p.phase.value for p in path.points],
+            "direction": [p.direction.value for p in path.points],
+        }
 
     def test_single_point_geojson_is_point(self):
         field = FieldSpec(3, 5)
         path = compile_route([], RobotState(0.5, 1, UP), field, GEOM)
         doc = to_geojson(path)
-        assert doc["geometry"]["type"] == "Point"
-        assert from_geojson(doc) == path
+        assert doc["geometry"] == {
+            "type": "Point",
+            "coordinates": [path.points[0].x_m, path.points[0].y_m],
+        }
+        assert doc["properties"] == {"phase": ["approach"], "direction": ["forward"]}
 
     def test_world_frame_transform(self):
         path = WaypointPath(
@@ -328,6 +330,14 @@ class TestWaypointPath:
         p = Waypoint(1.0, 1.0, Phase.EXIT, Direction.FORWARD)
         with pytest.raises(ValueError):
             WaypointPath((p, p))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        good = Waypoint(1.0, 1.0, Phase.EXIT, Direction.FORWARD)
+        for point in (Waypoint(bad, 1.0, Phase.EXIT, Direction.FORWARD),
+                      Waypoint(1.0, bad, Phase.EXIT, Direction.FORWARD)):
+            with pytest.raises(ValueError, match="finite"):
+                WaypointPath((good, point))
 
 
 class TestGeometryConfig:
