@@ -403,7 +403,7 @@ def train_stage(
     logs: list[EpisodeLog] = []
     start, goal = sample_instance(field, rng)
     episode = Episode(field, start, goal)
-    obs = observe(episode.state, goal, field).astype(np.float32)
+    obs = observe(episode.state, goal, field)
     ep_return = 0.0
     ep_index = 0
 
@@ -412,7 +412,7 @@ def train_stage(
         mask = valid_action_mask(field, episode.state, max_rows)
         action_idx = select_action(net, obs, epsilon, mask, rng)
         out = episode.step(index_to_action(action_idx, max_rows))
-        next_obs = observe(out.next_state, goal, field).astype(np.float32)
+        next_obs = observe(out.next_state, goal, field)
         next_mask = valid_action_mask(field, out.next_state, max_rows)
         buffer.push(obs, action_idx, out.reward, next_obs, out.done, next_mask)
         ep_return += out.reward
@@ -424,7 +424,7 @@ def train_stage(
             ep_index += 1
             start, goal = sample_instance(field, rng)
             episode = Episode(field, start, goal)
-            obs = observe(episode.state, goal, field).astype(np.float32)
+            obs = observe(episode.state, goal, field)
             ep_return = 0.0
         else:
             obs = next_obs
@@ -485,7 +485,7 @@ def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:
     episode = Episode(field, request.start, request.goal)
     raw: list[Action] = []
     while not episode.done and episode.steps < field.max_steps:
-        obs = observe(episode.state, request.goal, field).astype(np.float32)
+        obs = observe(episode.state, request.goal, field)
         mask = valid_action_mask(field, episode.state, net.max_rows)
         idx = select_action(net, obs, 0.0, mask, None)
         raw.append(index_to_action(idx, net.max_rows))
@@ -532,8 +532,8 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[QNetwork, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`; raises
-    ValueError when meta is malformed or an array's shape disagrees with the
-    layer sizes in meta."""
+    ValueError when meta is malformed, an array's shape disagrees with the
+    layer sizes in meta, or the arrays do not share one real floating dtype."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         try:
@@ -550,6 +550,12 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
                 raise ValueError(
                     f"checkpoint layer {i} has W{i} {W.shape} and b{i} {b.shape}, "
                     f"but meta gives ({fan_in}, {fan_out})"
+                )
+            dtype = weights[0].dtype if weights else W.dtype
+            if not (np.issubdtype(dtype, np.floating) and W.dtype == b.dtype == dtype):
+                raise ValueError(
+                    f"checkpoint layer {i} has W{i} {W.dtype} and b{i} {b.dtype}, "
+                    f"but every layer needs one real floating dtype (W0 has {dtype})"
                 )
             weights.append(W)
             biases.append(b)

@@ -4,13 +4,14 @@ Two planners produce provably shortest routes:
 
 * :func:`plan_heuristic` decomposes the problem into at most three phases
   (exit the current corridor, switch along a headland, enter the approach
-  corridor) and emits the move sequence directly, O(path length) with O(1)
+  corridor) and writes its route down directly, O(path length) with O(1)
   decision work.
 * :func:`plan_astar` searches a compact implicit graph whose nodes are
   corridor/headland waypoints, with an admissible Manhattan-style heuristic.
 
-Both return unit-step actions plus the deduplicated macro form used by the
-deployment pipeline, where a vertical macro runs until a phase boundary.
+Both build a route of poses, which one function turns into unit-step actions,
+the route's length, and the deduplicated macro form used by the deployment
+pipeline, where a vertical macro runs until a phase boundary.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from croprow.world import (
     GoalSpec,
     RobotState,
     at_headland,
-    check_goal,
     check_state,
     goal_configs,
     is_corridor,
@@ -70,21 +70,6 @@ def dedup(actions: list[Action] | tuple[Action, ...]) -> tuple[Action, ...]:
     return tuple(out)
 
 
-def path_length_of(field: FieldSpec, start: RobotState, actions) -> float:
-    """Distance covered by an action sequence: 1 per vertical unit, rows
-    crossed per switch.  Assumes no clamped moves."""
-    total = 0.0
-    x = start.corridor_x
-    for action in actions:
-        if action.move >= 2:
-            target = action.move - 1.5
-            total += abs(target - x)
-            x = target
-        else:
-            total += 1.0
-    return total
-
-
 def expand_macro_legs(
     field: FieldSpec,
     start: RobotState,
@@ -109,45 +94,50 @@ def expand_macro_legs(
             raise ValueError(f"macro {i} {macro}: route already complete")
         leg = [state]
         try:
-            if macro.move >= 2:
-                state = step(state, macro, field, scored_goal).next_state
+            while True:
+                out = step(state, macro, field, scored_goal)
+                if macro.move < 2 and out.distance_delta == 0:
+                    raise ValueError("no progress at corridor bounds")
+                state = out.next_state
                 raw.append(macro)
                 leg.append(state)
-            else:
-                while True:
-                    out = step(state, macro, field, scored_goal)
-                    if out.distance_delta == 0:
-                        raise ValueError("no progress at corridor bounds")
-                    state = out.next_state
-                    raw.append(macro)
-                    leg.append(state)
-                    if (goal is not None and out.done) or at_headland(field, state.y):
-                        break
+                if macro.move >= 2 or at_headland(field, state.y) or (
+                    goal is not None and out.done
+                ):
+                    break
         except ValueError as exc:
             raise ValueError(f"macro {i} {macro}: {exc}") from exc
         legs.append(leg)
     return raw, legs
 
 
-def _vertical_run(orientation: int, from_y: int, to_y: int) -> list[Action]:
-    """Unit moves between two y positions without reorienting."""
-    if to_y == from_y:
-        return []
-    going_up = to_y > from_y
-    move = FORWARD if going_up == (orientation == UP) else BACKWARD
-    return [Action(orientation, move)] * abs(to_y - from_y)
+def _plan_from_route(route: list[RobotState], planner_id: PlannerId) -> PlanResult:
+    """The plan along a pose route; its length is the sum of the hops.  A
+    vertical hop becomes unit moves with the hop's heading, preceded by one
+    switch action carrying that heading when it starts in another corridor
+    than the last vertical run; headland steps and bare flips carry no action
+    of their own."""
+    raw: list[Action] = []
+    length = 0.0
+    corridor = route[0].corridor_x
+    for prev, cur in zip(route, route[1:]):
+        length += abs(cur.corridor_x - prev.corridor_x) + abs(cur.y - prev.y)
+        if cur.y == prev.y:
+            continue
+        if cur.corridor_x != corridor:
+            raw.append(Action(cur.orientation, int(cur.corridor_x + 1.5)))
+            corridor = cur.corridor_x
+        move = FORWARD if (cur.y > prev.y) == (cur.orientation == UP) else BACKWARD
+        raw += [Action(cur.orientation, move)] * abs(cur.y - prev.y)
+    return PlanResult(tuple(raw), dedup(raw), length, planner_id)
 
 
-def _switch_action(target_x: float, orientation: int) -> Action:
-    return Action(orientation, int(target_x + 1.5))
-
-
-def _heuristic_actions(
+def _heuristic_route(
     field: FieldSpec, start: RobotState, goal: GoalSpec
-) -> list[Action]:
+) -> list[RobotState]:
     configs = goal_configs(field, goal)
     if start in configs:
-        return []
+        return [start]
 
     # direct run: already in an approach corridor, heading usable as-is or
     # freely correctable on a headland
@@ -155,7 +145,7 @@ def _heuristic_actions(
         if cfg.corridor_x == start.corridor_x and (
             cfg.orientation == start.orientation or at_headland(field, start.y)
         ):
-            return _vertical_run(cfg.orientation, start.y, cfg.y)
+            return [start, cfg]
 
     # exit headland: least extra travel, top preferred on ties
     edge = min(
@@ -169,24 +159,18 @@ def _heuristic_actions(
     else:
         target = RobotState(goal.row + 0.5, goal.goal_y, UP)
     assert target in configs
-
-    actions = _vertical_run(start.orientation, start.y, edge)
-    if target.corridor_x != start.corridor_x:
-        actions.append(_switch_action(target.corridor_x, target.orientation))
-    actions += _vertical_run(target.orientation, edge, target.y)
-    return actions
+    return [
+        start,
+        RobotState(start.corridor_x, edge, start.orientation),
+        RobotState(target.corridor_x, edge, target.orientation),
+        target,
+    ]
 
 
 def plan_heuristic(request: PlanRequest) -> PlanResult:
     check_state(request.field, request.start)
-    check_goal(request.field, request.goal)
-    raw = _heuristic_actions(request.field, request.start, request.goal)
-    return PlanResult(
-        raw_actions=tuple(raw),
-        macro_actions=dedup(raw),
-        path_length=path_length_of(request.field, request.start, raw),
-        planner_id=PlannerId.HEURISTIC,
-    )
+    route = _heuristic_route(request.field, request.start, request.goal)
+    return _plan_from_route(route, PlannerId.HEURISTIC)
 
 
 def _astar_heuristic(
@@ -263,42 +247,7 @@ def _astar_route(
     raise RuntimeError("search space exhausted without reaching the goal")
 
 
-def _route_to_actions(path: list[RobotState]) -> list[Action]:
-    """Turn a waypoint path into unit actions.  Headland activity between two
-    vertical runs collapses into one switch action carrying the orientation
-    the robot re-enters with; bare flips ride on the next move."""
-    actions: list[Action] = []
-    lateral_origin: float | None = None
-    lateral_target: float | None = None
-
-    def flush(orientation: int) -> None:
-        nonlocal lateral_origin, lateral_target
-        if lateral_target is not None and lateral_target != lateral_origin:
-            actions.append(_switch_action(lateral_target, orientation))
-        lateral_origin = lateral_target = None
-
-    for prev, cur in zip(path, path[1:]):
-        if cur.y != prev.y:
-            flush(cur.orientation)
-            actions.extend(_vertical_run(cur.orientation, prev.y, cur.y))
-        elif cur.corridor_x != prev.corridor_x:
-            if lateral_origin is None:
-                lateral_origin = prev.corridor_x
-            lateral_target = cur.corridor_x
-        # orientation-only transitions carry no action of their own
-    if path:
-        flush(path[-1].orientation)
-    return actions
-
-
 def plan_astar(request: PlanRequest) -> PlanResult:
     check_state(request.field, request.start)
-    check_goal(request.field, request.goal)
     route = _astar_route(request.field, request.start, request.goal)
-    raw = _route_to_actions(route)
-    return PlanResult(
-        raw_actions=tuple(raw),
-        macro_actions=dedup(raw),
-        path_length=path_length_of(request.field, request.start, raw),
-        planner_id=PlannerId.GRAPH_ASTAR,
-    )
+    return _plan_from_route(route, PlannerId.GRAPH_ASTAR)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 from croprow.planners import expand_macro_legs
@@ -213,17 +213,10 @@ def write_geojson(path: WaypointPath, file_path) -> None:
         fh.write("\n")
 
 
-_GEOMETRY_DEFAULTS = {
-    "origin_e": 0.0,
-    "origin_n": 0.0,
-    "heading_rad": 0.0,
-    "headland_offset_m": 1.0,
-}
-_GEOMETRY_REQUIRED = ("row_spacing_m", "corridor_length_m")
-
-
 def parse_geometry(text: str) -> FieldGeometry:
-    """Plain-text `key = value` geometry config; # starts a comment line."""
+    """Plain-text `key = value` geometry config; # starts a comment line.  The
+    keys are FieldGeometry's fields, and those without a default are required."""
+    defaults = {f.name: f.default for f in fields(FieldGeometry)}
     values: dict[str, float] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -233,7 +226,7 @@ def parse_geometry(text: str) -> FieldGeometry:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _GEOMETRY_REQUIRED and key not in _GEOMETRY_DEFAULTS:
+        if key not in defaults:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
@@ -241,10 +234,10 @@ def parse_geometry(text: str) -> FieldGeometry:
             values[key] = float(value.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad number for {key!r}") from exc
-    for key in _GEOMETRY_REQUIRED:
-        if key not in values:
+    for key, default in defaults.items():
+        if default is MISSING and key not in values:
             raise ValueError(f"missing required geometry key {key!r}")
-    return FieldGeometry(**{**_GEOMETRY_DEFAULTS, **values})
+    return FieldGeometry(**values)
 
 
 def load_geometry(file_path) -> FieldGeometry:

@@ -19,7 +19,7 @@ corridor (ties grant the bonus).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -46,19 +46,16 @@ class FieldSpec:
 
     num_rows: int
     corridor_len: int
-    max_steps: int | None = None
+    max_steps: int = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
         if self.num_rows < 2:
             raise ValueError(f"num_rows must be >= 2, got {self.num_rows}")
         if self.corridor_len < 1:
             raise ValueError(f"corridor_len must be >= 1, got {self.corridor_len}")
+        # step budget; the floor keeps any shortest path affordable on wide fields
         floor = 2 * (self.corridor_len + 2) + self.num_rows
-        if self.max_steps is None:
-            # default budget; floor keeps any shortest path affordable on wide fields
-            object.__setattr__(self, "max_steps", max(10 * (self.corridor_len + 2), floor))
-        elif self.max_steps < floor:
-            raise ValueError(f"max_steps must be >= {floor}, got {self.max_steps}")
+        object.__setattr__(self, "max_steps", max(10 * (self.corridor_len + 2), floor))
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,8 @@ def step(
 
 
 def observe(state: RobotState, goal: GoalSpec, field: FieldSpec) -> np.ndarray:
-    """Normalized observation [corridor_x, y, orientation, goal_row, goal_y] in [0, 1]."""
+    """Normalized observation [corridor_x, y, orientation, goal_row, goal_y] in
+    [0, 1], in float32, the dtype the Q-network reads."""
     return np.array(
         [
             state.corridor_x / field.num_rows,
@@ -281,7 +279,7 @@ def observe(state: RobotState, goal: GoalSpec, field: FieldSpec) -> np.ndarray:
             goal.row / field.num_rows,
             goal.goal_y / field.corridor_len,
         ],
-        dtype=np.float64,
+        dtype=np.float32,
     )
 
 

@@ -348,6 +348,55 @@ class TestTrain:
         assert "malformed checkpoint meta" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def save_with_arrays(path, edit) -> None:
+        """A 4-row, three-layer float32 checkpoint whose arrays dict (W0..b2
+        and meta) is passed through edit."""
+        save_checkpoint(path, QNetwork(10, (8, 8)), TrainConfig(hidden_sizes=(8, 8)), 4, 0)
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **edit(arrays))
+
+    @pytest.mark.parametrize(
+        "layer, edit",
+        [
+            (0, lambda a: {**a, "W0": np.full(a["W0"].shape, "x")}),
+            (2, lambda a: {**a, "b2": np.zeros(a["b2"].shape, "datetime64[s]")}),
+            (1, lambda a: {**a, "W1": a["W1"].astype(np.int64)}),
+            (0, lambda a: {**a, "b0": a["b0"].astype(bool)}),
+            (2, lambda a: {**a, "W2": a["W2"].astype(np.complex128)}),
+            (0, lambda a: {k: v if k == "meta" else v.astype(np.complex64) for k, v in a.items()}),
+            (1, lambda a: {**a, "W1": a["W1"].astype(np.float16), "b1": a["b1"].astype(np.float16)}),
+        ],
+        ids=["W0-str", "b2-datetime64", "W1-int", "b0-bool", "W2-complex", "all-complex",
+             "layer-1-float16"],
+    )
+    def test_model_with_bad_dtypes_exits_1(self, capsys, tmp_path, layer, edit):
+        path = tmp_path / "bad.npz"
+        self.save_with_arrays(path, edit)
+        with pytest.raises(ValueError, match=f"layer {layer} .*one real floating dtype"):
+            load_checkpoint(path)
+        code, _, err = run_cli(
+            capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE
+        )
+        assert code == 1
+        assert f"checkpoint layer {layer}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_with_one_float_dtype_loads_and_plans(self, capsys, tmp_path, dtype):
+        path = tmp_path / "m.npz"
+        self.save_with_arrays(
+            path, lambda a: {k: v if k == "meta" else v.astype(dtype) for k, v in a.items()}
+        )
+        net, _ = load_checkpoint(path)
+        assert net.dtype is dtype
+        code, out, _ = run_cli(
+            capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE
+        )
+        assert code in (0, 2)  # an untrained policy may miss the goal
+        assert "macro" in out
+
     def test_checkpoint_with_sixteen_setting_config_loads_and_plans(self, capsys, tmp_path):
         # checkpoints written while TrainConfig also held the exploration
         # schedule, the clip norm and Adam's moment settings

@@ -3,6 +3,9 @@ exhaustive and randomized optimality checks against the motion oracle."""
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,6 @@ from croprow.planners import (
     PlannerId,
     dedup,
     expand_macro_legs,
-    path_length_of,
     plan_astar,
     plan_heuristic,
 )
@@ -26,8 +28,10 @@ from croprow.world import (
     all_states,
     at_headland,
     oracle_shortest,
+    sample_goal,
     simulate,
 )
+from croprow.bench import generate_instances
 
 
 def A(o: int, m: int) -> Action:
@@ -213,7 +217,86 @@ def test_purity(request):
     assert plan_astar(request).raw_actions == plan_astar(request).raw_actions
 
 
-def test_path_length_of_counts_rows_crossed():
-    field = FieldSpec(10, 5)
-    start = RobotState(0.5, -1, UP)
-    assert path_length_of(field, start, [A(0, 9), A(0, 0)]) == 8.0
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _small_field_requests():
+    """Every start x goal on fields of 2-5 rows x 1-4 length, then requests
+    with an invalid goal, start, or both."""
+    for rows in range(2, 6):
+        for length in range(1, 5):
+            field = FieldSpec(rows, length)
+            for start in all_states(field):
+                for row in range(rows):
+                    for gy in range(length):
+                        yield PlanRequest(field, start, GoalSpec(row, gy))
+            good_start, good_goal = RobotState(0.5, 0, UP), GoalSpec(0, 0)
+            bad_goals = [GoalSpec(-1, 0), GoalSpec(rows, 0), GoalSpec(0, -1), GoalSpec(0, length)]
+            bad_starts = [RobotState(0.0, 0, UP), RobotState(0.5, length + 1, UP), RobotState(0.5, 0, 2)]
+            for goal in bad_goals:
+                yield PlanRequest(field, good_start, goal)
+            for start in bad_starts:
+                yield PlanRequest(field, start, good_goal)
+                yield PlanRequest(field, start, bad_goals[0])
+
+
+def _plan_outputs(requests):
+    for request in requests:
+        for planner in (plan_heuristic, plan_astar):
+            try:
+                result = planner(request)
+            except ValueError as exc:
+                yield type(exc).__name__, str(exc)
+            else:
+                yield result.raw_actions, result.macro_actions, result.path_length
+
+
+def _macro_outputs(count: int, seed: int):
+    """expand_macro_legs on random macro sequences: its result, or the
+    message of the ValueError it raises."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        field = FieldSpec(int(rng.integers(2, 7)), int(rng.integers(1, 6)))
+        states = all_states(field)
+        start = states[int(rng.integers(len(states)))]
+        goal = sample_goal(field, rng) if rng.random() < 0.5 else None
+        macros = []
+        for _ in range(int(rng.integers(1, 6))):
+            if rng.random() < 0.6:
+                move = int(rng.integers(2))
+            else:  # a switch, one past the last corridor included
+                move = int(rng.integers(2, field.num_rows + 2))
+            macros.append(A(int(rng.integers(2)), move))
+        try:
+            yield expand_macro_legs(field, start, macros, goal=goal)
+        except ValueError as exc:
+            yield str(exc)
+
+
+class TestPinnedOutputs:
+    """Digests of planner and macro-expansion outputs, computed before the
+    planners were rebuilt around one route-to-plan function; any change to a
+    plan, a length or an error message changes a digest."""
+
+    def test_plans_on_every_small_field_instance(self):
+        assert _digest(_plan_outputs(_small_field_requests())) == SMALL_FIELD_DIGEST
+
+    def test_plans_on_a_seeded_65_row_suite(self):
+        requests = [
+            PlanRequest(i.field, i.start, i.goal)
+            for i in generate_instances(FieldSpec(65, 10), 300, seed=11)
+        ]
+        assert _digest(_plan_outputs(requests)) == SUITE_65_DIGEST
+
+    def test_macro_expansion_on_random_sequences(self):
+        assert _digest(_macro_outputs(3000, seed=5)) == MACRO_DIGEST
+
+
+SMALL_FIELD_DIGEST = "3275b7c410388704a70188a98014813d0c85ea11f4dad16743b998fd3dcd1b02"
+SUITE_65_DIGEST = "da658a1bee067e8578d6825c44a32224ec0a3a14f1363bbf9c00861750f5dca2"
+MACRO_DIGEST = "82cda687d3e59cf546c244e8b9f277dccbc351ffa66a2b8fb06af7fb93b751ec"

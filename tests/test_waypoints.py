@@ -362,10 +362,13 @@ class TestGeometryConfig:
         assert geometry == FieldGeometry(1.0, 10.0, 0.0, 0.0, 0.0, 1.0)
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ValueError, match="^line 3: unknown key 'wat'$"):
             parse_geometry("row_spacing_m = 1\ncorridor_length_m = 2\nwat = 3\n")
-        with pytest.raises(ValueError, match="missing required"):
+        with pytest.raises(ValueError, match="^missing required geometry key 'corridor_length_m'$"):
             parse_geometry("row_spacing_m = 1\n")
+        # required keys are checked in declaration order
+        with pytest.raises(ValueError, match="^missing required geometry key 'row_spacing_m'$"):
+            parse_geometry("origin_e = 3\n")
         with pytest.raises(ValueError, match="duplicate"):
             parse_geometry(
                 "row_spacing_m = 1\nrow_spacing_m = 2\ncorridor_length_m = 3\n"

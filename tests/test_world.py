@@ -115,13 +115,13 @@ class TestFieldSpec:
             FieldSpec(num_rows=1, corridor_len=5)
         with pytest.raises(ValueError):
             FieldSpec(num_rows=4, corridor_len=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the budget is derived, not set
             FieldSpec(num_rows=4, corridor_len=5, max_steps=10)
 
     def test_default_budget(self):
         assert FieldSpec(4, 5).max_steps == 70
         assert FieldSpec(10, 10).max_steps == 120
-        # wide fields push the default up to the shortest-path floor
+        # wide fields push the budget up to the shortest-path floor
         assert FieldSpec(200, 10).max_steps == 2 * 12 + 200
 
     def test_corridors(self):
@@ -273,6 +273,7 @@ class TestObserve:
     def test_worked_example(self):
         field = FieldSpec(10, 10)
         vec = observe(RobotState(0.5, 0, UP), GoalSpec(0, 0), field)
+        assert vec.dtype == np.float32
         assert vec == pytest.approx([0.05, 1.0 / 11.0, 0.0, 0.0, 0.0])
 
     @given(field_state_goal())
@@ -380,7 +381,7 @@ class TestSimulate:
         assert sum(o.reward for o in result.outcomes) == pytest.approx(result.total_reward)
 
     def test_budget_exhaustion(self):
-        field = FieldSpec(2, 1, max_steps=2 * 3 + 2)
+        field = FieldSpec(2, 1)
         churn = [Action(UP, FORWARD), Action(UP, BACKWARD)] * field.max_steps
         result = simulate(field, RobotState(0.5, 0, UP), GoalSpec(1, 0), churn)
         assert not result.success
