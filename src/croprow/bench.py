@@ -107,7 +107,6 @@ def run_benchmark(
             try:
                 planner.plan(request)  # warm-up, never timed
                 times = []
-                result = None
                 for _ in range(repetitions):
                     result, elapsed = timed_call(planner, request)
                     times.append(elapsed)
@@ -128,18 +127,15 @@ def run_benchmark(
             replay = simulate(
                 instance.field, instance.start, instance.goal, list(result.raw_actions)
             )
-            reason = replay.failure_reason
-            if not replay.success and result.failure_reason and reason is None:
-                reason = result.failure_reason
             records.append(
                 BenchmarkRecord(
                     instance.instance_id,
                     planner.planner_id,
                     replay.success,
-                    max(elapsed_ns, 1),
+                    elapsed_ns,
                     replay.total_distance,
                     len(result.macro_actions),
-                    reason,
+                    replay.failure_reason,
                 )
             )
     return records
@@ -245,13 +241,13 @@ def scaling_sweep(
         field = FieldSpec(num_rows, corridor_len)
         instances = generate_instances(field, instances_per_size, size_seed)
         records = run_benchmark([planner], instances, repetitions=repetitions)
-        times = [r.planning_time_ns for r in records]
+        stats = summarize(records)[planner.planner_id.value]
         out.append(
             SizeResult(
                 num_rows=num_rows,
                 instances=len(records),
-                mean_time_ns=float(np.mean(times)),
-                success_rate=sum(r.success for r in records) / len(records),
+                mean_time_ns=stats["mean_time_ns"],
+                success_rate=stats["success_rate"],
             )
         )
     return out

@@ -84,23 +84,27 @@ def _parse_goal(text: str) -> GoalSpec:
     return GoalSpec(int(parts[0]), int(parts[1]))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: JSON's true and false decode to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _action_pairs(doc, name: str) -> list[Action]:
+    """Actions from a decoded JSON list of [orientation,move] int pairs."""
+    if not isinstance(doc, list):
+        raise ValueError(f"{name} must be a JSON list of [orientation,move] pairs")
+    for i, pair in enumerate(doc):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise ValueError(f"action {i} is not an [orientation,move] int pair")
+    return [Action(*pair) for pair in doc]
+
+
 def _parse_actions(text: str) -> list[Action]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"actions are not valid JSON: {exc}") from exc
-    if not isinstance(doc, list):
-        raise ValueError("actions must be a JSON list of [orientation,move] pairs")
-    actions = []
-    for i, pair in enumerate(doc):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-        ):
-            raise ValueError(f"action {i} is not an [orientation,move] int pair")
-        actions.append(Action(pair[0], pair[1]))
-    return actions
+    return _action_pairs(doc, "actions")
 
 
 def _count(text: str) -> int:
@@ -308,17 +312,21 @@ def cmd_export(args: argparse.Namespace) -> int:
     for key in ("rows", "len", "start", "macro_actions"):
         if key not in doc:
             raise ValueError(f"plan JSON is missing {key!r}")
-    try:
-        field = FieldSpec(int(doc["rows"]), int(doc["len"]))
-        sx, sy, so = doc["start"]
-        start = RobotState(float(sx), int(sy), int(so))
-        goal = None
-        if doc.get("goal") is not None:
-            row, goal_y = doc["goal"]
-            goal = GoalSpec(int(row), int(goal_y))
-        macros = [Action(int(o), int(m)) for o, m in doc["macro_actions"]]
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed plan JSON: {exc}") from exc
+    start, goal = doc["start"], doc.get("goal")
+    if not (isinstance(start, list) and len(start) == 3):
+        raise ValueError(f"plan JSON start must be [x,y,orientation], got {start!r}")
+    if not (goal is None or isinstance(goal, list) and len(goal) == 2):
+        raise ValueError(f"plan JSON goal must be [row,y], got {goal!r}")
+    if not all(map(_is_int, [doc["rows"], doc["len"], *start[1:], *(goal or ())])):
+        raise ValueError("plan JSON rows, len, start y, orientation and goal must be integers")
+    x = start[0]
+    # inside a float's finite range: not nan, not inf, not an int too large for a float
+    if not ((_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max):
+        raise ValueError(f"plan JSON start x must be a finite number, got {x!r}")
+    field = FieldSpec(doc["rows"], doc["len"])
+    start = RobotState(float(x), start[1], start[2])
+    goal = None if goal is None else GoalSpec(*goal)
+    macros = _action_pairs(doc["macro_actions"], "macro_actions")
     geometry = load_geometry(args.geometry)
     path = compile_route(macros, start, field, geometry, goal=goal)
     if args.frame == "world":

@@ -35,6 +35,10 @@ EPSILON_START = 1.0
 EPSILON_FINAL = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 GRAD_CLIP_NORM = 10.0  # global L2 norm of one update's gradients
+# Adam's moment rates and denominator term (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def action_space_size(max_rows: int) -> int:
@@ -62,31 +66,28 @@ def valid_action_mask(field: FieldSpec, state: RobotState, max_rows: int) -> np.
 
 
 class QNetwork:
-    """Fully-connected ReLU network with explicit forward and backward passes."""
+    """Fully-connected ReLU network with explicit forward and backward passes;
+    its layer sizes and dtype are those of its weight and bias arrays."""
 
     def __init__(
         self,
         output_dim: int,
-        hidden_sizes: tuple[int, ...] = (1024, 1024, 1024),
-        input_dim: int = OBS_DIM,
+        hidden_sizes: tuple[int, ...],
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ) -> None:
         if rng is None:
             rng = np.random.default_rng(0)
-        self.input_dim = input_dim
-        self.hidden_sizes = tuple(hidden_sizes)
-        self.output_dim = output_dim
-        self.dtype = dtype
-        sizes = (input_dim, *hidden_sizes, output_dim)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(
-                rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(dtype)
-            )
-            self.biases.append(np.zeros(fan_out, dtype=dtype))
+        sizes = (OBS_DIM, *hidden_sizes, output_dim)
+        self.weights = [
+            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).astype(dtype)
+            for fan_in, fan_out in zip(sizes, sizes[1:])
+        ]
+        self.biases = [np.zeros(fan_out, dtype=dtype) for fan_out in sizes[1:]]
+
+    @property
+    def output_dim(self) -> int:
+        return self.biases[-1].shape[0]
 
     @property
     def max_rows(self) -> int:
@@ -97,7 +98,7 @@ class QNetwork:
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping layer activations for backprop."""
-        acts = [np.asarray(x, dtype=self.dtype)]
+        acts = [np.asarray(x, dtype=self.weights[0].dtype)]
         h = acts[0]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.maximum(h @ W + b, 0.0)
@@ -112,7 +113,7 @@ class QNetwork:
         """
         dW = [np.empty(0)] * len(self.weights)
         db = [np.empty(0)] * len(self.biases)
-        delta = np.asarray(dout, dtype=self.dtype)
+        delta = np.asarray(dout, dtype=self.weights[0].dtype)
         for i in range(len(self.weights) - 1, -1, -1):
             dW[i] = acts[i].T @ delta
             db[i] = delta.sum(axis=0)
@@ -120,26 +121,13 @@ class QNetwork:
                 delta = (delta @ self.weights[i].T) * (acts[i] > 0)
         return dW, db
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
-
     @classmethod
     def from_parameters(
         cls, weights: list[np.ndarray], biases: list[np.ndarray]
     ) -> QNetwork:
-        """Network over the given layer arrays, which it takes without
-        copying; the layer sizes and dtype are read from the arrays."""
+        """Network over the given layer arrays, which it takes without copying."""
         net = cls.__new__(cls)
-        net.weights = list(weights)
-        net.biases = list(biases)
-        net.input_dim = net.weights[0].shape[0]
-        net.hidden_sizes = tuple(W.shape[1] for W in net.weights[:-1])
-        net.output_dim = net.weights[-1].shape[1]
-        net.dtype = net.weights[0].dtype.type
+        net.weights, net.biases = list(weights), list(biases)
         return net
 
     def copy(self) -> QNetwork:
@@ -189,42 +177,34 @@ def bellman_loss_and_grads(
 
 
 class Adam:
-    """Adam optimizer over a QNetwork's parameter lists."""
+    """Adam optimizer over a QNetwork's weights then biases, with the fixed
+    ADAM_* moment rates."""
 
-    def __init__(self, net: QNetwork, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net: QNetwork, lr: float) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        params = net.parameters()
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
+        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
 
     def step(self, net: QNetwork, dW: list[np.ndarray], db: list[np.ndarray]) -> None:
         self.t += 1
-        grads = []
-        for gw, gb in zip(dW, db):
-            grads.append(gw)
-            grads.append(gb)
-        params = net.parameters()
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for p, g, m, v in zip(net.weights + net.biases, dW + db, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_gradients(dW: list[np.ndarray], db: list[np.ndarray], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most max_norm."""
+    """Scale gradients so their global L2 norm is at most max_norm (> 0)."""
     total = 0.0
     for g in (*dW, *db):
         total += float(np.sum(np.square(g, dtype=np.float64)))
     norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
+    if norm > max_norm:
         scale = max_norm / norm
         for g in (*dW, *db):
             g *= scale
@@ -234,14 +214,14 @@ def clip_gradients(dW: list[np.ndarray], db: list[np.ndarray], max_norm: float) 
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with the next state's action mask."""
 
-    def __init__(self, capacity: int, obs_dim: int, num_actions: int) -> None:
+    def __init__(self, capacity: int, num_actions: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim), dtype=np.float32)
+        self.obs = np.zeros((capacity, OBS_DIM), dtype=np.float32)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity, dtype=np.float32)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=np.float32)
+        self.next_obs = np.zeros((capacity, OBS_DIM), dtype=np.float32)
         self.dones = np.zeros(capacity, dtype=bool)
         self.next_masks = np.zeros((capacity, num_actions), dtype=bool)
         self.size = 0
@@ -391,25 +371,23 @@ def train_stage(
         net = QNetwork(
             action_space_size(stage.num_rows), cfg.hidden_sizes, rng=rng
         )
-    if stage.num_rows > net.max_rows:
-        raise ValueError(
-            f"stage has {stage.num_rows} rows but the network covers {net.max_rows}"
-        )
     max_rows = net.max_rows
+    if stage.num_rows > max_rows:
+        raise ValueError(f"stage has {stage.num_rows} rows but the network covers {max_rows}")
     target_net = net.copy()
     optimizer = Adam(net, cfg.learning_rate)
-    buffer = ReplayBuffer(cfg.buffer_capacity, OBS_DIM, net.output_dim)
+    buffer = ReplayBuffer(cfg.buffer_capacity, net.output_dim)
 
     logs: list[EpisodeLog] = []
     start, goal = sample_instance(field, rng)
     episode = Episode(field, start, goal)
     obs = observe(episode.state, goal, field)
+    mask = valid_action_mask(field, episode.state, max_rows)
     ep_return = 0.0
     ep_index = 0
 
     for step_i in range(stage.steps):
         epsilon = epsilon_at(step_i, stage.steps)
-        mask = valid_action_mask(field, episode.state, max_rows)
         action_idx = select_action(net, obs, epsilon, mask, rng)
         out = episode.step(index_to_action(action_idx, max_rows))
         next_obs = observe(out.next_state, goal, field)
@@ -425,9 +403,10 @@ def train_stage(
             start, goal = sample_instance(field, rng)
             episode = Episode(field, start, goal)
             obs = observe(episode.state, goal, field)
+            mask = valid_action_mask(field, episode.state, max_rows)
             ep_return = 0.0
         else:
-            obs = next_obs
+            obs, mask = next_obs, next_mask
 
         if len(buffer) >= cfg.learning_starts and (step_i + 1) % cfg.train_frequency == 0:
             train_step(net, target_net, buffer, cfg, optimizer, rng)
@@ -478,17 +457,16 @@ def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:
     """Greedy rollout of the value network; a budget overrun is a failure
     result, not an error."""
     field = request.field
-    if field.num_rows > net.max_rows:
-        raise ValueError(
-            f"field has {field.num_rows} rows but the network covers {net.max_rows}"
-        )
+    max_rows = net.max_rows
+    if field.num_rows > max_rows:
+        raise ValueError(f"field has {field.num_rows} rows but the network covers {max_rows}")
     episode = Episode(field, request.start, request.goal)
     raw: list[Action] = []
     while not episode.done and episode.steps < field.max_steps:
         obs = observe(episode.state, request.goal, field)
-        mask = valid_action_mask(field, episode.state, net.max_rows)
+        mask = valid_action_mask(field, episode.state, max_rows)
         idx = select_action(net, obs, 0.0, mask, None)
-        raw.append(index_to_action(idx, net.max_rows))
+        raw.append(index_to_action(idx, max_rows))
         episode.step(raw[-1])
     success = episode.done
     return PlanResult(
@@ -516,8 +494,8 @@ def save_checkpoint(
     """
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "input_dim": net.input_dim,
-        "hidden_sizes": list(net.hidden_sizes),
+        "input_dim": net.weights[0].shape[0],
+        "hidden_sizes": [W.shape[1] for W in net.weights[:-1]],
         "output_dim": net.output_dim,
         "stage_rows": stage_rows,
         "seed": seed,

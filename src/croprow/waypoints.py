@@ -214,13 +214,14 @@ def write_geojson(path: WaypointPath, file_path) -> None:
 
 
 def parse_geometry(text: str) -> FieldGeometry:
-    """Plain-text `key = value` geometry config; # starts a comment line.  The
-    keys are FieldGeometry's fields, and those without a default are required."""
+    """Plain-text `key = value` geometry config; # starts a comment anywhere on
+    a line, which runs to the line's end.  The keys are FieldGeometry's
+    fields, and those without a default are required."""
     defaults = {f.name: f.default for f in fields(FieldGeometry)}
     values: dict[str, float] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
+        line = raw_line.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")

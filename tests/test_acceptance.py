@@ -289,7 +289,7 @@ def test_criterion_6_property_suites():
         trial_rng = np.random.default_rng(1000 + trial)
         capacity = int(trial_rng.integers(4, 50))
         extra = int(trial_rng.integers(1, 60))
-        buffer = ReplayBuffer(capacity, obs_dim=5, num_actions=6)
+        buffer = ReplayBuffer(capacity, num_actions=6)
         total = capacity + extra
         for k in range(total):
             buffer.push(

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,49 @@ class TestExport:
         )
         assert code == 1
         assert "finite" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"macro_actions": [[0.9, 0.2], [True, 7.6], [1, 0]]}, "action 0"),
+            ({"macro_actions": [[0, 0], [True, 7], [1, 0]]}, "action 1"),
+            ({"macro_actions": {"0": [0, 0]}}, "macro_actions must be a JSON list"),
+            ({"start": [0.5, 3.9, 0.4]}, "must be integers"),
+            ({"start": [0.5, 3, True]}, "must be integers"),
+            ({"start": [0.5, 3]}, "start must be [x,y,orientation]"),
+            ({"start": ["0.5", 3, 0]}, "start x must be a finite number"),
+            ({"start": [float("nan"), 3, 0]}, "start x must be a finite number"),
+            ({"start": [10**400, 3, 0]}, "start x must be a finite number"),
+            ({"rows": 10.7}, "must be integers"),
+            ({"len": "10"}, "must be integers"),
+            ({"goal": [6, 4.0]}, "must be integers"),
+            ({"goal": [6]}, "goal must be [row,y]"),
+        ],
+        ids=[
+            "float-and-bool-macros", "bool-macro", "macro-object", "fractional-start",
+            "bool-orientation", "short-start", "string-x", "nan-x", "huge-int-x",
+            "fractional-rows", "string-len", "float-goal", "short-goal",
+        ],
+    )
+    def test_malformed_plan_exits_1_writing_nothing(self, capsys, tmp_path, change, message):
+        # the README plan; each case breaks one value that int()/float() would coerce
+        doc = {"rows": 10, "len": 10, "start": [0.5, 3, 0], "goal": [6, 4],
+               "macro_actions": [[0, 0], [1, 7], [1, 0]], **change}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        geometry = tmp_path / "geom.cfg"
+        geometry.write_text(GEOMETRY)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys,
+            "export", "--plan-json", str(plan_path), "--geometry", str(geometry),
+            "--output-dir", str(out_dir),
+        )
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
         assert out == ""
         assert not out_dir.exists()
 
@@ -390,7 +435,7 @@ class TestTrain:
             path, lambda a: {k: v if k == "meta" else v.astype(dtype) for k, v in a.items()}
         )
         net, _ = load_checkpoint(path)
-        assert net.dtype is dtype
+        assert all(a.dtype == dtype for a in net.weights + net.biases)
         code, out, _ = run_cli(
             capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE
         )
@@ -557,6 +602,9 @@ def test_removed_no_op_options_exit_1(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_module_entry_point():
+    # the child imports the package from where this process found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [
             sys.executable, "-m", "croprow",
@@ -565,6 +613,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert proc.returncode == 0
     assert "macro [[0,0],[1,0]]" in proc.stdout

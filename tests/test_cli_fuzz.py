@@ -251,6 +251,9 @@ def _reject_constant(name):
 @example(doc={"rows": 4, "len": 5, "start": [1.5, 2, 0], "macro_actions": [], "goal": [2]}, geometry="geometry.txt", frame="local")
 @example(doc={"rows": float("inf"), "len": 5, "start": [1.5, 2, 0], "macro_actions": []}, geometry="geometry.txt", frame="local")
 @example(doc=["rows", "len", "start", "macro_actions"], geometry="geometry.txt", frame="local")
+@example(doc={**README_PLAN, "macro_actions": [[0.9, 0.2], [True, 7.6], [1, 0]]}, geometry="geometry.txt", frame="local")
+@example(doc={**README_PLAN, "start": [0.5, 3.9, 0.4]}, geometry="geometry.txt", frame="local")
+@example(doc={**README_PLAN, "rows": 10.7}, geometry="geometry.txt", frame="local")
 @example(doc=README_PLAN, geometry="nan_origin.txt", frame="world")
 @example(doc=README_PLAN, geometry="inf_headland.txt", frame="local")
 @example(doc=README_PLAN, geometry="huge_spacing.txt", frame="local")

@@ -239,7 +239,7 @@ class TestTdTargets:
 
 class TestReplayBuffer:
     def test_ring_eviction(self):
-        buf = ReplayBuffer(50, 5, 8)
+        buf = ReplayBuffer(50, 8)
         mask = np.ones(8, dtype=bool)
         for i in range(150):
             buf.push(np.full(5, 0.1), 0, float(i), np.full(5, 0.2), False, mask)
@@ -247,7 +247,7 @@ class TestReplayBuffer:
         assert set(buf.rewards.astype(int)) == set(range(100, 150))
 
     def test_sample_shapes_and_determinism(self):
-        buf = ReplayBuffer(100, 5, 8)
+        buf = ReplayBuffer(100, 8)
         mask = np.ones(8, dtype=bool)
         for i in range(40):
             buf.push(np.full(5, i / 40), i % 8, float(i), np.full(5, 0.2), i % 2, mask)
@@ -264,7 +264,7 @@ class TestTraining:
         # regression the optimizer must be able to drive down
         net = toy_net(5, dtype=np.float32)
         target = net.copy()
-        buf = ReplayBuffer(256, 5, 8)
+        buf = ReplayBuffer(256, 8)
         rng = np.random.default_rng(11)
         mask = np.ones(8, dtype=bool)
         for _ in range(256):
@@ -284,7 +284,7 @@ class TestTraining:
 
     def test_train_step_noop_until_batch_available(self):
         net = toy_net(5, dtype=np.float32)
-        buf = ReplayBuffer(64, 5, 8)
+        buf = ReplayBuffer(64, 8)
         cfg = TrainConfig(batch_size=32, hidden_sizes=(4, 4))
         opt = Adam(net, cfg.learning_rate)
         assert train_step(net, net.copy(), buf, cfg, opt, np.random.default_rng(0)) is None
@@ -321,7 +321,7 @@ class TestTraining:
         net_a, log_a = train_stage(stage, cfg, seed=42)
         net_b, log_b = train_stage(stage, cfg, seed=42)
         assert log_a == log_b
-        for W, V in zip(net_a.parameters(), net_b.parameters()):
+        for W, V in zip(net_a.weights + net_a.biases, net_b.weights + net_b.biases):
             assert np.array_equal(W, V)
         net_c, log_c = train_stage(stage, cfg, seed=43)
         assert log_a != log_c
@@ -352,8 +352,8 @@ class TestCheckpoint:
         assert meta["stage_rows"] == 5
         assert meta["seed"] == 42
         assert meta["train_config"]["hidden_sizes"] == (4, 4)
-        assert loaded.hidden_sizes == net.hidden_sizes
-        for W, V in zip(net.parameters(), loaded.parameters()):
+        assert [W.shape for W in loaded.weights] == [W.shape for W in net.weights]
+        for W, V in zip(net.weights + net.biases, loaded.weights + loaded.biases):
             assert np.array_equal(W, V)
         obs = np.full(5, 0.3)
         mask = np.ones(net.output_dim, dtype=bool)

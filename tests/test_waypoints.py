@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -347,8 +348,8 @@ class TestGeometryConfig:
             "row_spacing_m = 0.76\n"
             "corridor_length_m = 207\n"
             "origin_e = 1200.5\n"
-            "origin_n = -80\n"
-            "heading_rad = 0.12\n"
+            "origin_n = -80  # south of the datum = -80 m\n"
+            "heading_rad = 0.12#\n"
             "headland_offset_m = 1.5\n"
         )
         geometry = parse_geometry(text)
@@ -356,6 +357,13 @@ class TestGeometryConfig:
         config = tmp_path / "field.cfg"
         config.write_text(text)
         assert load_geometry(config) == geometry
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        geometry = parse_geometry(block)
+        assert geometry.row_spacing_m == 0.76
+        assert geometry.corridor_length_m == 20.0
 
     def test_defaults_fill_in(self):
         geometry = parse_geometry("row_spacing_m = 1\ncorridor_length_m = 10\n")
