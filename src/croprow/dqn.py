@@ -12,6 +12,7 @@ here so the training loop has no dependencies beyond numpy.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ EPSILON_START = 1.0
 EPSILON_FINAL = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 GRAD_CLIP_NORM = 10.0  # global L2 norm of one update's gradients
+BATCH_SIZE = 64
+LEARNING_STARTS = 1_000  # buffered transitions before the first update
+TARGET_SYNC_INTERVAL = 1_000  # environment steps between target-network syncs
 # Adam's moment rates and denominator term (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -148,30 +152,14 @@ def bellman_loss_and_grads(
     obs: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
-    huber_delta: float | None = None,
 ):
-    """Mean TD-error loss over a batch, with gradients for every parameter.
-
-    Squared error by default; with huber_delta set, the Huber loss, which
-    bounds the per-sample gradient and keeps large early TD errors from
-    destabilizing training.
-    """
+    """Mean squared TD error over a batch, with gradients for every parameter."""
     q, acts = net.forward_cached(obs)
     rows = np.arange(q.shape[0])
     err = q[rows, actions] - np.asarray(targets, dtype=q.dtype)
+    loss = float(np.mean(err**2))
     dq = np.zeros_like(q)
-    if huber_delta is None:
-        loss = float(np.mean(err**2))
-        dq[rows, actions] = 2.0 * err / q.shape[0]
-    else:
-        delta = q.dtype.type(huber_delta)
-        abs_err = np.abs(err)
-        quadratic = abs_err <= delta
-        per_sample = np.where(
-            quadratic, 0.5 * err**2, delta * (abs_err - 0.5 * delta)
-        )
-        loss = float(np.mean(per_sample))
-        dq[rows, actions] = np.clip(err, -delta, delta) / q.shape[0]
+    dq[rows, actions] = 2.0 * err / q.shape[0]
     dW, db = net.backward(acts, dq)
     return loss, dW, db
 
@@ -256,16 +244,13 @@ class ReplayBuffer:
 @dataclass(frozen=True)
 class TrainConfig:
     """The training settings callers choose; the exploration schedule, the
-    gradient clip and Adam's moment rates are fixed."""
+    gradient clip, Adam's moment rates, the batch size, the warm-up and the
+    target-sync interval are fixed."""
 
     gamma: float = 0.99
     learning_rate: float = 1e-4
-    batch_size: int = 64
     buffer_capacity: int = 100_000
-    target_sync_interval: int = 1_000
     train_frequency: int = 4
-    learning_starts: int = 1_000
-    huber_delta: float | None = None  # None trains on squared error
     hidden_sizes: tuple[int, ...] = (1024, 1024, 1024)
 
 
@@ -336,15 +321,11 @@ def train_step(
 ) -> float | None:
     """One gradient update from a uniform batch; no-op while the buffer is
     shorter than a batch."""
-    if len(buffer) < cfg.batch_size:
+    if len(buffer) < BATCH_SIZE:
         return None
-    obs, actions, rewards, next_obs, dones, next_masks = buffer.sample(
-        cfg.batch_size, rng
-    )
+    obs, actions, rewards, next_obs, dones, next_masks = buffer.sample(BATCH_SIZE, rng)
     targets = td_targets(target_net, rewards, next_obs, dones, next_masks, cfg.gamma)
-    loss, dW, db = bellman_loss_and_grads(
-        net, obs, actions, targets, huber_delta=cfg.huber_delta
-    )
+    loss, dW, db = bellman_loss_and_grads(net, obs, actions, targets)
     clip_gradients(dW, db, GRAD_CLIP_NORM)
     optimizer.step(net, dW, db)
     return loss
@@ -360,9 +341,9 @@ def train_stage(
 
     Rollouts and updates interleave: the exploration rate decays linearly over
     the first half of the stage, a gradient step runs every
-    ``cfg.train_frequency`` environment steps once ``cfg.learning_starts``
+    ``cfg.train_frequency`` environment steps once ``LEARNING_STARTS``
     transitions are buffered, and the target network re-syncs every
-    ``cfg.target_sync_interval`` steps.  Identical seeds give identical logs
+    ``TARGET_SYNC_INTERVAL`` steps.  Identical seeds give identical logs
     and weights.
     """
     rng = np.random.default_rng(seed)
@@ -383,7 +364,6 @@ def train_stage(
     episode = Episode(field, start, goal)
     obs = observe(episode.state, goal, field)
     mask = valid_action_mask(field, episode.state, max_rows)
-    ep_return = 0.0
     ep_index = 0
 
     for step_i in range(stage.steps):
@@ -393,24 +373,22 @@ def train_stage(
         next_obs = observe(out.next_state, goal, field)
         next_mask = valid_action_mask(field, out.next_state, max_rows)
         buffer.push(obs, action_idx, out.reward, next_obs, out.done, next_mask)
-        ep_return += out.reward
 
         if out.done or episode.steps >= field.max_steps:
             logs.append(
-                EpisodeLog(ep_index, episode.steps, ep_return, out.done, epsilon)
+                EpisodeLog(ep_index, episode.steps, episode.total_reward, out.done, epsilon)
             )
             ep_index += 1
             start, goal = sample_instance(field, rng)
             episode = Episode(field, start, goal)
             obs = observe(episode.state, goal, field)
             mask = valid_action_mask(field, episode.state, max_rows)
-            ep_return = 0.0
         else:
             obs, mask = next_obs, next_mask
 
-        if len(buffer) >= cfg.learning_starts and (step_i + 1) % cfg.train_frequency == 0:
+        if len(buffer) >= LEARNING_STARTS and (step_i + 1) % cfg.train_frequency == 0:
             train_step(net, target_net, buffer, cfg, optimizer, rng)
-        if (step_i + 1) % cfg.target_sync_interval == 0:
+        if (step_i + 1) % TARGET_SYNC_INTERVAL == 0:
             target_net.load_from(net)
 
     return net, logs
@@ -510,31 +488,38 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[QNetwork, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`; raises
-    ValueError when meta is malformed, an array's shape disagrees with the
-    layer sizes in meta, or the arrays do not share one real floating dtype."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        try:
-            if meta["format_version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-            sizes = (meta["input_dim"], *meta["hidden_sizes"], meta["output_dim"])
-            meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
-        except TypeError as exc:
-            raise ValueError(f"malformed checkpoint meta: {exc}") from exc
-        weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            W, b = data[f"W{i}"], data[f"b{i}"]
-            if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                raise ValueError(
-                    f"checkpoint layer {i} has W{i} {W.shape} and b{i} {b.shape}, "
-                    f"but meta gives ({fan_in}, {fan_out})"
-                )
-            dtype = weights[0].dtype if weights else W.dtype
-            if not (np.issubdtype(dtype, np.floating) and W.dtype == b.dtype == dtype):
-                raise ValueError(
-                    f"checkpoint layer {i} has W{i} {W.dtype} and b{i} {b.dtype}, "
-                    f"but every layer needs one real floating dtype (W0 has {dtype})"
-                )
-            weights.append(W)
-            biases.append(b)
+    ValueError when the file is not a readable .npz archive, meta is
+    malformed, an array's shape disagrees with the layer sizes in meta, or
+    the arrays do not share one real floating dtype."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path} holds one array, not an .npz archive")
+        with data:
+            meta = json.loads(str(data["meta"]))
+            try:
+                if meta["format_version"] != CHECKPOINT_VERSION:
+                    raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
+                sizes = (meta["input_dim"], *meta["hidden_sizes"], meta["output_dim"])
+                meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
+            except TypeError as exc:
+                raise ValueError(f"malformed checkpoint meta: {exc}") from exc
+            weights, biases = [], []
+            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+                W, b = data[f"W{i}"], data[f"b{i}"]
+                if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+                    raise ValueError(
+                        f"checkpoint layer {i} has W{i} {W.shape} and b{i} {b.shape}, "
+                        f"but meta gives ({fan_in}, {fan_out})"
+                    )
+                dtype = weights[0].dtype if weights else W.dtype
+                if not (np.issubdtype(dtype, np.floating) and W.dtype == b.dtype == dtype):
+                    raise ValueError(
+                        f"checkpoint layer {i} has W{i} {W.dtype} and b{i} {b.dtype}, "
+                        f"but every layer needs one real floating dtype (W0 has {dtype})"
+                    )
+                weights.append(W)
+                biases.append(b)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a readable .npz archive: {exc}") from exc
     return QNetwork.from_parameters(weights, biases), meta

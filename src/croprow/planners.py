@@ -198,8 +198,6 @@ def _astar_successors(
     if not at_headland(field, node.y):
         for edge in (top, -1):
             yield RobotState(node.corridor_x, edge, node.orientation), abs(node.y - edge)
-        if cfg is not None and cfg.orientation == node.orientation:
-            yield cfg, abs(node.y - cfg.y)
     else:
         for nx in (node.corridor_x - 1.0, node.corridor_x + 1.0):
             if is_corridor(field, nx):
@@ -207,8 +205,8 @@ def _astar_successors(
         yield RobotState(node.corridor_x, node.y, 1 - node.orientation), 0
         opposite = top if node.y == -1 else -1
         yield RobotState(node.corridor_x, opposite, node.orientation), top + 1
-        if cfg is not None and cfg.orientation == node.orientation:
-            yield cfg, abs(node.y - cfg.y)
+    if cfg is not None and cfg.orientation == node.orientation:
+        yield cfg, abs(node.y - cfg.y)
 
 
 def _astar_route(

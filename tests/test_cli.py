@@ -442,19 +442,62 @@ class TestTrain:
         assert code in (0, 2)  # an untrained policy may miss the goal
         assert "macro" in out
 
-    def test_checkpoint_with_sixteen_setting_config_loads_and_plans(self, capsys, tmp_path):
-        # checkpoints written while TrainConfig also held the exploration
-        # schedule, the clip norm and Adam's moment settings
-        old_settings = {
-            "epsilon_start": 1.0, "epsilon_final": 0.05, "epsilon_decay_fraction": 0.5,
-            "grad_clip_norm": 10.0, "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
-        }
+    @staticmethod
+    def write_unreadable_model(path, kind) -> None:
+        """A file that is not a readable .npz archive."""
+        if kind == "npy-array":
+            with open(path, "wb") as f:
+                np.save(f, np.zeros((3, 2)))
+            return
+        save_checkpoint(path, QNetwork(10, (8,)), TrainConfig(hidden_sizes=(8,)), 4, 0)
+        raw = path.read_bytes()
+        path.write_bytes({"empty": b"", "first-half": raw[: len(raw) // 2],
+                          "first-10-bytes": raw[:10]}[kind])
+
+    @pytest.mark.parametrize("subcommand", ["plan", "bench"])
+    @pytest.mark.parametrize("kind", ["npy-array", "empty", "first-half", "first-10-bytes"])
+    def test_unreadable_model_exits_1(self, capsys, tmp_path, kind, subcommand):
+        path = tmp_path / "bad.npz"
+        self.write_unreadable_model(path, kind)
+        with pytest.raises(ValueError, match="npz archive"):
+            load_checkpoint(path)
+        where = (
+            WHERE if subcommand == "plan"
+            else ["--n", "2", "--rows", "4", "--len", "5", "--output-dir", str(tmp_path)]
+        )
+        flag = "--planner" if subcommand == "plan" else "--planners"
+        code, _, err = run_cli(capsys, subcommand, flag, "dqn", "--model", str(path), *where)
+        assert code == 1
+        assert "npz archive" in err
+        assert "Traceback" not in err
+
+    # settings older checkpoints also stored in train_config: the 9-setting
+    # config held the batch size, warm-up, target-sync interval and Huber
+    # delta; the 16-setting one also the exploration schedule, the clip norm
+    # and Adam's moment settings
+    NINE_SETTING_EXTRAS = {
+        "batch_size": 64, "target_sync_interval": 1_000, "learning_starts": 1_000,
+        "huber_delta": None,
+    }
+    SIXTEEN_SETTING_EXTRAS = {
+        **NINE_SETTING_EXTRAS, "epsilon_start": 1.0, "epsilon_final": 0.05,
+        "epsilon_decay_fraction": 0.5, "grad_clip_norm": 10.0, "adam_beta1": 0.9,
+        "adam_beta2": 0.999, "adam_eps": 1e-8,
+    }
+
+    @pytest.mark.parametrize(
+        "settings, extras", [(16, SIXTEEN_SETTING_EXTRAS), (9, NINE_SETTING_EXTRAS)],
+        ids=["sixteen-settings", "nine-settings"],
+    )
+    def test_checkpoint_with_older_config_loads_and_plans(
+        self, capsys, tmp_path, settings, extras
+    ):
         path = tmp_path / "old.npz"
         self.save_with_meta(
-            path, lambda meta: {**meta, "train_config": {**meta["train_config"], **old_settings}}
+            path, lambda meta: {**meta, "train_config": {**meta["train_config"], **extras}}
         )
         _, meta = load_checkpoint(path)
-        assert len(meta["train_config"]) == 16
+        assert len(meta["train_config"]) == settings
         assert meta["train_config"]["hidden_sizes"] == (8,)
         code, out, _ = run_cli(
             capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE[:4],

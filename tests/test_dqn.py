@@ -14,6 +14,7 @@ from scipy import stats
 from croprow.bench import generate_instances
 from croprow.cli import _parse_stages
 from croprow.dqn import (
+    BATCH_SIZE,
     Adam,
     CurriculumStage,
     QNetwork,
@@ -47,18 +48,10 @@ def toy_net(seed: int, output_dim: int = 8, dtype=np.float64) -> QNetwork:
     )
 
 
-def td_loss(net: QNetwork, obs, actions, targets, huber_delta=None) -> float:
+def td_loss(net: QNetwork, obs, actions, targets) -> float:
     q = net.forward(obs)
     err = q[np.arange(len(actions)), actions] - targets
-    if huber_delta is None:
-        return float(np.mean(err**2))
-    abs_err = np.abs(err)
-    per_sample = np.where(
-        abs_err <= huber_delta,
-        0.5 * err**2,
-        huber_delta * (abs_err - 0.5 * huber_delta),
-    )
-    return float(np.mean(per_sample))
+    return float(np.mean(err**2))
 
 
 class TestActionCoding:
@@ -132,58 +125,6 @@ class TestGradients:
                     up = td_loss(net, obs, actions, targets)
                     p[idx] = orig - h
                     down = td_loss(net, obs, actions, targets)
-                    p[idx] = orig
-                    fd = (up - down) / (2 * h)
-                    denom = max(abs(fd), abs(g[idx]), 1e-8)
-                    assert abs(fd - g[idx]) / denom <= 1e-4
-
-    def test_huber_frozen_values(self):
-        net = toy_net(seed=1, dtype=np.float64)
-        for w in net.weights:
-            w[:] = 0.0
-        for b in net.biases:
-            b[:] = 0.0
-        net.biases[-1][:4] = [1.0, 5.0, 3.0, 0.0]
-        obs = np.zeros((2, 5))
-        actions = np.array([0, 1])
-        targets = np.array([0.5, 7.0])  # errors 0.5 (quadratic) and -2 (linear)
-        loss, dW, db = bellman_loss_and_grads(
-            net, obs, actions, targets, huber_delta=1.0
-        )
-        assert loss == pytest.approx((0.5 * 0.25 + 1.0 * (2.0 - 0.5)) / 2)
-        assert db[-1][0] == pytest.approx(0.25)
-        assert db[-1][1] == pytest.approx(-0.5)
-        assert np.all(db[-1][2:] == 0.0)
-
-    def test_huber_matches_finite_differences(self):
-        rng = np.random.default_rng(17)
-        delta = 0.7
-        checked = 0
-        seed = 3000
-        while checked < 10:
-            seed += 1
-            net = toy_net(seed=seed)
-            obs = rng.uniform(0.0, 1.0, size=(6, 5))
-            if relu_margin(net, obs) < 1e-4:
-                continue
-            actions = rng.integers(0, net.output_dim, size=6)
-            targets = rng.normal(0.0, 5.0, size=6)
-            q = net.forward(obs)
-            err = q[np.arange(6), actions] - targets
-            if np.any(np.abs(np.abs(err) - delta) < 1e-4):
-                continue  # FD is invalid at the Huber kink too
-            checked += 1
-            _, dW, db = bellman_loss_and_grads(
-                net, obs, actions, targets, huber_delta=delta
-            )
-            h = 1e-6
-            for p, g in zip([*net.weights, *net.biases], [*dW, *db]):
-                for idx in np.ndindex(p.shape):
-                    orig = p[idx]
-                    p[idx] = orig + h
-                    up = td_loss(net, obs, actions, targets, huber_delta=delta)
-                    p[idx] = orig - h
-                    down = td_loss(net, obs, actions, targets, huber_delta=delta)
                     p[idx] = orig
                     fd = (up - down) / (2 * h)
                     denom = max(abs(fd), abs(g[idx]), 1e-8)
@@ -277,17 +218,23 @@ class TestTraining:
                 True,
                 mask,
             )
-        cfg = TrainConfig(learning_rate=3e-3, batch_size=64, hidden_sizes=(4, 4))
+        cfg = TrainConfig(learning_rate=3e-3, hidden_sizes=(4, 4))
         opt = Adam(net, cfg.learning_rate)
         losses = [train_step(net, target, buf, cfg, opt, rng) for _ in range(1500)]
         assert losses[-1] < losses[0] * 0.1
 
     def test_train_step_noop_until_batch_available(self):
         net = toy_net(5, dtype=np.float32)
-        buf = ReplayBuffer(64, 8)
-        cfg = TrainConfig(batch_size=32, hidden_sizes=(4, 4))
+        buf = ReplayBuffer(BATCH_SIZE, 8)
+        cfg = TrainConfig(hidden_sizes=(4, 4))
         opt = Adam(net, cfg.learning_rate)
-        assert train_step(net, net.copy(), buf, cfg, opt, np.random.default_rng(0)) is None
+        rng = np.random.default_rng(0)
+        obs, mask = np.zeros(5, dtype=np.float32), np.ones(8, dtype=bool)
+        for _ in range(BATCH_SIZE - 1):
+            buf.push(obs, 0, 1.0, obs, True, mask)
+        assert train_step(net, net.copy(), buf, cfg, opt, rng) is None
+        buf.push(obs, 0, 1.0, obs, True, mask)
+        assert isinstance(train_step(net, net.copy(), buf, cfg, opt, rng), float)
 
     def test_gradient_clipping(self):
         dW = [np.full((2, 2), 100.0)]
@@ -309,15 +256,10 @@ class TestTraining:
         assert not np.array_equal(net.weights[0], target.weights[0])
 
     def test_stage_training_is_deterministic(self):
-        stage = CurriculumStage(num_rows=5, steps=1200, corridor_len=5)
-        cfg = TrainConfig(
-            batch_size=16,
-            buffer_capacity=2000,
-            learning_starts=100,
-            target_sync_interval=200,
-            train_frequency=2,
-            hidden_sizes=(16, 16),
-        )
+        # updates start at LEARNING_STARTS; 2,200 steps also update after
+        # the second target sync
+        stage = CurriculumStage(num_rows=5, steps=2200, corridor_len=5)
+        cfg = TrainConfig(buffer_capacity=2000, train_frequency=2, hidden_sizes=(16, 16))
         net_a, log_a = train_stage(stage, cfg, seed=42)
         net_b, log_b = train_stage(stage, cfg, seed=42)
         assert log_a == log_b
