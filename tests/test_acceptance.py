@@ -43,13 +43,13 @@ from croprow.world import (
     GoalSpec,
     IllegalActionError,
     RobotState,
-    all_states,
     is_goal,
     oracle_shortest,
     sample_goal,
     sample_state,
     step,
 )
+from poses import all_states
 
 SEED = 20260822
 HEURISTIC = Planner(PlannerId.HEURISTIC, plan_heuristic)

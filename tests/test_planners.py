@@ -25,13 +25,13 @@ from croprow.world import (
     FieldSpec,
     GoalSpec,
     RobotState,
-    all_states,
     at_headland,
     oracle_shortest,
     sample_goal,
     simulate,
 )
 from croprow.bench import generate_instances
+from poses import all_states
 
 
 def A(o: int, m: int) -> Action:
@@ -183,6 +183,24 @@ class TestOptimalityExhaustive:
                             h = check_plan(plan_heuristic, request)
                             a = check_plan(plan_astar, request)
                             assert h.path_length == a.path_length
+
+    def test_every_pose_on_a_65_row_field(self):
+        # every start pose (64 corridors x 12 y x 2 orientations) against 40
+        # seeded goals; each oracle length is one lookup into the goal's
+        # distance field, and a seeded subset goes through the simulator
+        field = FieldSpec(65, 10)
+        rng = np.random.default_rng(65)
+        goals = [sample_goal(field, rng) for _ in range(40)]
+        pairs = [(start, goal) for goal in goals for start in all_states(field)]
+        assert len(pairs) == 64 * 12 * 2 * 40
+        replayed = set(rng.choice(len(pairs), 500, replace=False).tolist())
+        for i, (start, goal) in enumerate(pairs):
+            result = plan_heuristic(PlanRequest(field, start, goal))
+            assert result.path_length == oracle_shortest(field, start, goal), (start, goal)
+            if i in replayed:
+                replay = simulate(field, start, goal, list(result.raw_actions))
+                assert replay.success, replay.failure_reason
+                assert replay.total_distance == result.path_length
 
 
 @given(plan_instances())

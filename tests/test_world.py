@@ -26,7 +26,7 @@ from croprow.world import (
     GoalSpec,
     IllegalActionError,
     RobotState,
-    all_states,
+    _distance_field,
     at_headland,
     check_state,
     corridor_positions,
@@ -40,6 +40,7 @@ from croprow.world import (
     simulate,
     step,
 )
+from poses import all_states
 
 
 def env_shortest(field, start, goal):
@@ -320,6 +321,69 @@ class TestOracle:
                         goal = GoalSpec(row, gy)
                         want, _ = env_shortest(field, start, goal)
                         assert oracle_shortest(field, start, goal) == want
+
+    @pytest.mark.parametrize(
+        "start, goal, message",
+        [
+            (RobotState(0.0, 0, UP), GoalSpec(4, 0), "not a corridor centerline: x=0.0"),
+            (RobotState(0.5, 6, UP), GoalSpec(0, 5), "y out of range: 6"),
+            (RobotState(0.5, 0, 2), GoalSpec(-1, 0), "bad orientation: 2"),
+            (RobotState(0.5, 0, UP), GoalSpec(4, 0), "goal row out of range: 4"),
+            (RobotState(0.5, 0, UP), GoalSpec(0, -1), "goal_y out of range: -1"),
+        ],
+    )
+    def test_invalid_input_raises_start_first_and_memoizes_nothing(
+        self, start, goal, message
+    ):
+        _distance_field.cache_clear()
+        with pytest.raises(ValueError) as exc:
+            oracle_shortest(FieldSpec(4, 5), start, goal)
+        assert str(exc.value) == message
+        assert _distance_field.cache_info().currsize == 0
+
+    def test_float_valued_poses(self):
+        # validation admits a float y: an integral one is the same pose, a
+        # fractional one is off the lattice that every move stays on
+        field = FieldSpec(4, 5)
+        assert oracle_shortest(field, RobotState(0.5, 2.0, UP), GoalSpec(1, 2)) == 6.0
+        assert oracle_shortest(field, RobotState(0.5, 2, 1.0), GoalSpec(1, 2.0)) == 0.0
+        for start, goal in [
+            (RobotState(0.5, 2.5, UP), GoalSpec(1, 2)),
+            (RobotState(0.5, 2, UP), GoalSpec(1, 2.5)),
+        ]:
+            with pytest.raises(RuntimeError, match="goal unreachable"):
+                oracle_shortest(field, start, goal)
+
+    def test_memo_hit_equals_cold_call(self):
+        field = FieldSpec(9, 4)
+        rng = np.random.default_rng(3)
+        queries = [
+            (sample_state(field, rng, interior_only=False), sample_goal(field, rng))
+            for _ in range(200)
+        ]
+        _distance_field.cache_clear()
+        warm = [oracle_shortest(field, start, goal) for start, goal in queries]
+        assert _distance_field.cache_info().hits >= 200 - 9 * 4
+        cold = []
+        for start, goal in queries:
+            _distance_field.cache_clear()
+            cold.append(oracle_shortest(field, start, goal))
+        assert warm == cold
+
+    def test_memo_holds_at_most_its_bound(self):
+        bound = _distance_field.cache_info().maxsize
+        field = FieldSpec(2, bound // 2 + 1)  # 2 rows x (bound/2 + 1) goals
+        goals = [GoalSpec(row, gy) for row in (0, 1) for gy in range(field.corridor_len)]
+        start = RobotState(0.5, -1, UP)
+        _distance_field.cache_clear()
+        try:
+            for goal in goals[: bound + 1]:
+                # up the one corridor, after a free flip at the headland for row 1
+                assert oracle_shortest(field, start, goal) == goal.goal_y + 1
+                assert _distance_field.cache_info().currsize <= bound
+            assert _distance_field.cache_info().currsize == bound
+        finally:
+            _distance_field.cache_clear()
 
     @given(field_state_goal())
     @settings(max_examples=60, deadline=None)
