@@ -255,15 +255,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _render(field: FieldSpec, state: RobotState, goal: GoalSpec) -> str:
-    width = 2 * field.num_rows - 1
+    interior = "#" + " #" * (field.num_rows - 1)
+    headland = " " * len(interior)
     lines = []
     for y in range(field.corridor_len, -2, -1):
-        chars = []
-        for col in range(width):
-            char = " "
-            if col % 2 == 0 and 0 <= y < field.corridor_len:
-                char = "*" if (col // 2, y) == (goal.row, goal.goal_y) else "#"
-            chars.append(char)
+        chars = list(interior if 0 <= y < field.corridor_len else headland)
+        if y == goal.goal_y:
+            chars[2 * goal.row] = "*"
         if state.y == y:
             chars[int(2 * state.corridor_x)] = "^" if state.orientation == UP else "v"
         lines.append("".join(chars).rstrip())

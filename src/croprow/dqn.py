@@ -360,29 +360,27 @@ def train_stage(
     buffer = ReplayBuffer(cfg.buffer_capacity, net.output_dim)
 
     logs: list[EpisodeLog] = []
-    start, goal = sample_instance(field, rng)
-    episode = Episode(field, start, goal)
-    obs = observe(episode.state, goal, field)
-    mask = valid_action_mask(field, episode.state, max_rows)
-    ep_index = 0
 
+    def reset() -> tuple[Episode, np.ndarray, np.ndarray]:
+        start, goal = sample_instance(field, rng)
+        episode = Episode(field, start, goal)
+        return episode, observe(start, goal, field), valid_action_mask(field, start, max_rows)
+
+    episode, obs, mask = reset()
     for step_i in range(stage.steps):
         epsilon = epsilon_at(step_i, stage.steps)
         action_idx = select_action(net, obs, epsilon, mask, rng)
         out = episode.step(index_to_action(action_idx, max_rows))
-        next_obs = observe(out.next_state, goal, field)
+        next_obs = observe(out.next_state, episode.goal, field)
         next_mask = valid_action_mask(field, out.next_state, max_rows)
         buffer.push(obs, action_idx, out.reward, next_obs, out.done, next_mask)
 
         if out.done or episode.steps >= field.max_steps:
             logs.append(
-                EpisodeLog(ep_index, episode.steps, episode.total_reward, out.done, epsilon)
+                EpisodeLog(len(logs), episode.steps, episode.total_reward, out.done, epsilon)
             )
-            ep_index += 1
-            start, goal = sample_instance(field, rng)
-            episode = Episode(field, start, goal)
-            obs = observe(episode.state, goal, field)
-            mask = valid_action_mask(field, episode.state, max_rows)
+            # before this step's update: both draw from rng, in this order
+            episode, obs, mask = reset()
         else:
             obs, mask = next_obs, next_mask
 

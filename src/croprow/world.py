@@ -22,6 +22,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class FieldSpec:
             raise ValueError(f"num_rows must be >= 2, got {self.num_rows}")
         if self.corridor_len < 1:
             raise ValueError(f"corridor_len must be >= 1, got {self.corridor_len}")
+        if not (isinstance(self.num_rows, Integral) and isinstance(self.corridor_len, Integral)):
+            raise ValueError(f"field sizes must be integers, got {self.num_rows}, {self.corridor_len}")
         # step budget; the floor keeps any shortest path affordable on wide fields
         floor = 2 * (self.corridor_len + 2) + self.num_rows
         object.__setattr__(self, "max_steps", max(10 * (self.corridor_len + 2), floor))
@@ -127,11 +130,6 @@ class SimulationResult:
     outcomes: tuple[StepOutcome, ...] = ()  # one per step taken, in order
 
 
-def corridor_positions(field: FieldSpec) -> list[float]:
-    """Centerline x of every corridor, west to east."""
-    return [k + 0.5 for k in range(field.num_rows - 1)]
-
-
 def is_corridor(field: FieldSpec, x: float) -> bool:
     # is_integer() is False for inf and nan, where int() would raise
     return (x - 0.5).is_integer() and 0.5 <= x <= field.num_rows - 1.5
@@ -146,6 +144,8 @@ def check_state(field: FieldSpec, state: RobotState) -> None:
         raise ValueError(f"not a corridor centerline: x={state.corridor_x}")
     if not -1 <= state.y <= field.corridor_len:
         raise ValueError(f"y out of range: {state.y}")
+    if state.y != int(state.y):  # finite once in range
+        raise ValueError(f"y is not an integer: {state.y}")
     if state.orientation not in (UP, DOWN):
         raise ValueError(f"bad orientation: {state.orientation}")
 
@@ -153,8 +153,12 @@ def check_state(field: FieldSpec, state: RobotState) -> None:
 def check_goal(field: FieldSpec, goal: GoalSpec) -> None:
     if not 0 <= goal.row < field.num_rows:
         raise ValueError(f"goal row out of range: {goal.row}")
+    if goal.row != int(goal.row):
+        raise ValueError(f"goal row is not an integer: {goal.row}")
     if not 0 <= goal.goal_y < field.corridor_len:
         raise ValueError(f"goal_y out of range: {goal.goal_y}")
+    if goal.goal_y != int(goal.goal_y):
+        raise ValueError(f"goal_y is not an integer: {goal.goal_y}")
 
 
 def check_action(field: FieldSpec, action: Action) -> None:
@@ -162,6 +166,8 @@ def check_action(field: FieldSpec, action: Action) -> None:
         raise ValueError(f"bad orientation component: {action.orientation}")
     if not 0 <= action.move <= field.num_rows:
         raise ValueError(f"move component out of range: {action.move}")
+    if action.move != int(action.move):
+        raise ValueError(f"move component is not an integer: {action.move}")
 
 
 def goal_configs(field: FieldSpec, goal: GoalSpec) -> tuple[RobotState, ...]:
@@ -195,15 +201,24 @@ def step(
 ) -> StepOutcome:
     """Apply one action; pure function of its arguments.
 
-    The orientation component is applied first, so vertical motion uses the
-    new heading.  ``prev_displacement`` is the previous step's signed vertical
-    displacement (for oscillation detection); ``initial_corridor_x`` is the
-    corridor the episode started in (for the arrival bonus) and defaults to
-    the current corridor.
+    Checks the pose, the action and the goal, then applies the rule that
+    :class:`Episode` applies.  The orientation component is applied first,
+    so vertical motion uses the new heading.  ``prev_displacement`` is the
+    previous step's signed vertical displacement (for oscillation
+    detection); ``initial_corridor_x`` is the corridor the episode started
+    in (for the arrival bonus) and defaults to the current corridor.
     """
     check_state(field, state)
     check_action(field, action)
+    origin = state.corridor_x if initial_corridor_x is None else initial_corridor_x
+    return _transition(field, state, action, goal_configs(field, goal), prev_displacement, origin)
 
+
+def _transition(
+    field: FieldSpec, state: RobotState, action: Action,
+    configs: tuple[RobotState, ...], prev_displacement: int | None, origin: float,
+) -> StepOutcome:
+    """The step rule on a checked pose and action, given the goal's terminal set."""
     headland = at_headland(field, state.y)
     if action.move >= 2 and not headland:
         raise IllegalActionError(
@@ -234,22 +249,15 @@ def step(
         next_state = RobotState(state.corridor_x, ny, action.orientation)
 
     oscillation_penalty = 0.0
-    in_interior = not headland
-    if (
-        in_interior
-        and dy != 0
-        and prev_displacement is not None
-        and dy == -prev_displacement
-    ):
+    if not headland and dy != 0 and prev_displacement is not None and dy == -prev_displacement:
         oscillation_penalty = OSCILLATION_PENALTY
 
     goal_reward = 0.0
     bonus = 0.0
-    done = is_goal(field, next_state, goal)
+    done = next_state in configs
     if done:
         goal_reward = GOAL_REWARD
-        origin = state.corridor_x if initial_corridor_x is None else initial_corridor_x
-        nearest = min(abs(c.corridor_x - origin) for c in goal_configs(field, goal))
+        nearest = min(abs(c.corridor_x - origin) for c in configs)
         if abs(next_state.corridor_x - origin) <= nearest:
             bonus = CLOSER_CORRIDOR_BONUS
 
@@ -288,11 +296,8 @@ def observe(state: RobotState, goal: GoalSpec, field: FieldSpec) -> np.ndarray:
 _UNREACHED = 2**31 - 1
 
 
-def _pose_id(field: FieldSpec, state: RobotState) -> int | None:
-    """Integer pose id: corridor, y + 1 and orientation packed into one int;
-    None for a fractional y, which validation admits but no move reaches."""
-    if state.y != int(state.y):
-        return None
+def _pose_id(field: FieldSpec, state: RobotState) -> int:
+    """Integer pose id: corridor, y + 1 and orientation packed into one int."""
     corridor = int(state.corridor_x - 0.5)
     return ((corridor * (field.corridor_len + 2) + int(state.y) + 1) << 1) | int(state.orientation)
 
@@ -309,8 +314,7 @@ def _distance_field(field: FieldSpec, goal: GoalSpec) -> array:
     span = field.corridor_len + 2
     size, last, lateral = (field.num_rows - 1) * span * 2, span - 1, 2 * span
     dist = array("i", [_UNREACHED]) * size
-    sources = (_pose_id(field, config) for config in goal_configs(field, goal))
-    queue = deque(pose for pose in sources if pose is not None)
+    queue = deque(_pose_id(field, config) for config in goal_configs(field, goal))
     for pose in queue:
         dist[pose] = 0
     while queue:
@@ -340,39 +344,35 @@ def oracle_shortest(field: FieldSpec, start: RobotState, goal: GoalSpec) -> floa
     for them.
     """
     check_state(field, start)
-    dist, pose = _distance_field(field, goal), _pose_id(field, start)
-    d = _UNREACHED if pose is None else dist[pose]
-    if d == _UNREACHED:
-        raise RuntimeError("goal unreachable")  # only from a start or goal off the lattice
+    d = _distance_field(field, goal)[_pose_id(field, start)]
+    if d == _UNREACHED:  # every pose is connected, so only a damaged field
+        raise RuntimeError("goal unreachable")
     return float(d)
 
 
 class Episode:
-    """Stateful wrapper around :func:`step` tracking episode context."""
+    """Stateful episode under :func:`step`'s rule: start and goal checked once."""
 
     def __init__(self, field: FieldSpec, start: RobotState, goal: GoalSpec) -> None:
         check_state(field, start)
-        check_goal(field, goal)
+        self.goal_configs = goal_configs(field, goal)
         self.field = field
         self.goal = goal
         self.state = start
         self.initial_corridor_x = start.corridor_x
         self.prev_displacement: int | None = None
         self.steps = 0
-        self.done = is_goal(field, start, goal)
+        self.done = start in self.goal_configs
         self.total_reward = 0.0
         self.total_distance = 0.0
 
     def step(self, action: Action) -> StepOutcome:
         if self.done:
             raise RuntimeError("episode is over")
-        out = step(
-            self.state,
-            action,
-            self.field,
-            self.goal,
-            prev_displacement=self.prev_displacement,
-            initial_corridor_x=self.initial_corridor_x,
+        check_action(self.field, action)
+        out = _transition(
+            self.field, self.state, action, self.goal_configs,
+            self.prev_displacement, self.initial_corridor_x,
         )
         dy = out.next_state.y - self.state.y
         self.prev_displacement = dy if action.move < 2 else 0
@@ -420,16 +420,10 @@ def simulate(
     )
 
 
-def sample_state(
-    field: FieldSpec, rng: np.random.Generator, interior_only: bool = True
-) -> RobotState:
-    """Uniform random pose; start poses are drawn inside the corridors."""
+def sample_state(field: FieldSpec, rng: np.random.Generator) -> RobotState:
+    """Uniform random start pose inside the corridors."""
     corridor = 0.5 + int(rng.integers(field.num_rows - 1))
-    if interior_only:
-        y = int(rng.integers(field.corridor_len))
-    else:
-        y = int(rng.integers(-1, field.corridor_len + 1))
-    return RobotState(corridor, y, int(rng.integers(2)))
+    return RobotState(corridor, int(rng.integers(field.corridor_len)), int(rng.integers(2)))
 
 
 def sample_goal(field: FieldSpec, rng: np.random.Generator) -> GoalSpec:

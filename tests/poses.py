@@ -1,8 +1,15 @@
-"""Pose enumeration shared by the exhaustive checks."""
+"""Pose enumeration and sampling shared by the exhaustive and random checks."""
 
 from __future__ import annotations
 
-from croprow.world import DOWN, UP, FieldSpec, RobotState, corridor_positions
+import numpy as np
+
+from croprow.world import DOWN, UP, FieldSpec, RobotState
+
+
+def corridor_positions(field: FieldSpec) -> list[float]:
+    """Centerline x of every corridor, west to east."""
+    return [k + 0.5 for k in range(field.num_rows - 1)]
 
 
 def all_states(field: FieldSpec) -> list[RobotState]:
@@ -14,3 +21,11 @@ def all_states(field: FieldSpec) -> list[RobotState]:
         for y in range(-1, field.corridor_len + 1)
         for o in (UP, DOWN)
     ]
+
+
+def sample_pose(field: FieldSpec, rng: np.random.Generator) -> RobotState:
+    """Uniform random pose, headlands included: the corridor, y and
+    orientation draws of ``world.sample_state``, in the same order."""
+    corridor = 0.5 + int(rng.integers(field.num_rows - 1))
+    y = int(rng.integers(-1, field.corridor_len + 1))
+    return RobotState(corridor, y, int(rng.integers(2)))

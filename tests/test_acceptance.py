@@ -46,10 +46,9 @@ from croprow.world import (
     is_goal,
     oracle_shortest,
     sample_goal,
-    sample_state,
     step,
 )
-from poses import all_states
+from poses import all_states, sample_pose
 
 SEED = 20260822
 HEURISTIC = Planner(PlannerId.HEURISTIC, plan_heuristic)
@@ -233,7 +232,7 @@ def test_criterion_6_property_suites():
     identity_steps = 0
     while identity_steps < 100_000:
         field = fields[rng.integers(len(fields))]
-        state = sample_state(field, rng, interior_only=False)
+        state = sample_pose(field, rng)
         goal = sample_goal(field, rng)
         action = Action(int(rng.integers(2)), int(rng.integers(field.num_rows + 1)))
         prev = int(rng.integers(-1, 2))

@@ -516,6 +516,68 @@ class TestTrain:
             _parse_stages("65..5:5")
 
 
+PINNED_SIMULATE_TEXT = """\
+start:
+
+# # # #
+# # # #
+# # # *
+ ^
+step 0: action [[0,0]] reward -0.2
+
+# # # #
+# # # #
+#^# # *
+
+step 1: action [[0,0]] reward -0.2
+
+# # # #
+#^# # #
+# # # *
+
+step 2: action [[0,0]] reward -0.2
+
+#^# # #
+# # # #
+# # # *
+
+step 3: action [[0,0]] reward -0.2
+ ^
+# # # #
+# # # #
+# # # *
+
+step 4: action [[1,4]] reward -0.4
+     v
+# # # #
+# # # #
+# # # *
+
+step 5: action [[1,0]] reward -0.2
+
+# # #v#
+# # # #
+# # # *
+
+step 6: action [[1,0]] reward -0.2
+
+# # # #
+# # #v#
+# # # *
+
+step 7: action [[1,0]] reward +24.8
+
+# # # #
+# # # #
+# # #v*
+
+verdict: success
+distance: 9
+reward: 23.2
+steps: 8
+"""
+
+
 class TestSimulate:
     def test_optimal_sequence_succeeds(self, capsys):
         code, out, _ = run_cli(
@@ -527,6 +589,16 @@ class TestSimulate:
         assert "verdict: success" in out
         assert "distance: 4" in out
         assert "^" in out and "*" in out and "#" in out
+
+    def test_text_output_pinned(self, capsys):
+        # both headlands, a switch, and the robot beside the goal marker
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--rows", "4", "--len", "3", "--start", "0.5,-1,0", "--goal", "3,0",
+            "--actions", "[[0,0],[0,0],[0,0],[0,0],[1,4],[1,0],[1,0],[1,0]]",
+        )
+        assert code == 0
+        assert out == PINNED_SIMULATE_TEXT
 
     def test_illegal_action_fails_with_index(self, capsys):
         code, out, _ = run_cli(

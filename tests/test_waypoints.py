@@ -38,9 +38,9 @@ from croprow.world import (
     RobotState,
     at_headland,
     sample_goal,
-    sample_state,
     step,
 )
+from poses import sample_pose
 
 GEOM = FieldGeometry(row_spacing_m=0.76, corridor_length_m=20.0)
 
@@ -55,7 +55,7 @@ def plan_instances(draw):
 
     field = FieldSpec(draw(st.integers(2, 10)), draw(st.integers(1, 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    start = sample_state(field, rng, interior_only=False)
+    start = sample_pose(field, rng)
     goal = sample_goal(field, rng)
     return field, start, goal
 

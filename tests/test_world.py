@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from croprow.world import (
     _distance_field,
     at_headland,
     check_state,
-    corridor_positions,
     goal_configs,
     is_corridor,
     is_goal,
@@ -40,7 +40,7 @@ from croprow.world import (
     simulate,
     step,
 )
-from poses import all_states
+from poses import all_states, corridor_positions, sample_pose
 
 
 def env_shortest(field, start, goal):
@@ -118,6 +118,11 @@ class TestFieldSpec:
             FieldSpec(num_rows=4, corridor_len=0)
         with pytest.raises(TypeError):  # the budget is derived, not set
             FieldSpec(num_rows=4, corridor_len=5, max_steps=10)
+
+    @pytest.mark.parametrize("rows, length", [(4.5, 3), (4.0, 5), (math.nan, 5), (4, 5.0)])
+    def test_sizes_must_be_integers(self, rows, length):
+        with pytest.raises(ValueError, match="field sizes must be integers"):
+            FieldSpec(rows, length)
 
     def test_default_budget(self):
         assert FieldSpec(4, 5).max_steps == 70
@@ -262,6 +267,11 @@ class TestStep:
         with pytest.raises(ValueError):
             step(RobotState(1.5, 2, UP), Action(2, 0), self.field, self.goal)
 
+    def test_fractional_move_rejected_on_headland(self):
+        # a move of 2.5 would land between two corridors, at x = 1.0
+        with pytest.raises(ValueError, match="move component is not an integer: 2.5"):
+            step(RobotState(0.5, -1, UP), Action(UP, 2.5), FieldSpec(5, 4), GoalSpec(2, 1))
+
     def test_switch_distance_scales_with_rows_crossed(self):
         field = FieldSpec(10, 5)
         out = step(RobotState(0.5, -1, DOWN), Action(DOWN, 9), field, self.goal)
@@ -342,8 +352,7 @@ class TestOracle:
         assert _distance_field.cache_info().currsize == 0
 
     def test_float_valued_poses(self):
-        # validation admits a float y: an integral one is the same pose, a
-        # fractional one is off the lattice that every move stays on
+        # an integral float is the same pose; validation rejects a fractional one
         field = FieldSpec(4, 5)
         assert oracle_shortest(field, RobotState(0.5, 2.0, UP), GoalSpec(1, 2)) == 6.0
         assert oracle_shortest(field, RobotState(0.5, 2, 1.0), GoalSpec(1, 2.0)) == 0.0
@@ -351,14 +360,14 @@ class TestOracle:
             (RobotState(0.5, 2.5, UP), GoalSpec(1, 2)),
             (RobotState(0.5, 2, UP), GoalSpec(1, 2.5)),
         ]:
-            with pytest.raises(RuntimeError, match="goal unreachable"):
+            with pytest.raises(ValueError, match="not an integer: 2.5"):
                 oracle_shortest(field, start, goal)
 
     def test_memo_hit_equals_cold_call(self):
         field = FieldSpec(9, 4)
         rng = np.random.default_rng(3)
         queries = [
-            (sample_state(field, rng, interior_only=False), sample_goal(field, rng))
+            (sample_pose(field, rng), sample_goal(field, rng))
             for _ in range(200)
         ]
         _distance_field.cache_clear()
@@ -444,6 +453,15 @@ class TestSimulate:
         assert result.outcomes[-1].next_state == result.final_state
         assert sum(o.reward for o in result.outcomes) == pytest.approx(result.total_reward)
 
+    def test_fractional_move_fails_at_its_own_index(self):
+        actions = [Action(UP, 2.5), Action(UP, FORWARD)]
+        result = simulate(FieldSpec(5, 4), RobotState(0.5, -1, UP), GoalSpec(2, 1), actions)
+        assert not result.success
+        assert result.steps == 0
+        assert result.failure_reason == (
+            "illegal action at index 0: move component is not an integer: 2.5"
+        )
+
     def test_budget_exhaustion(self):
         field = FieldSpec(2, 1)
         churn = [Action(UP, FORWARD), Action(UP, BACKWARD)] * field.max_steps
@@ -473,6 +491,53 @@ class TestEpisode:
         assert episode.done
         with pytest.raises(RuntimeError):
             episode.step(Action(UP, FORWARD))
+
+
+@pytest.mark.parametrize(
+    "start, goal, message",
+    [
+        (RobotState(0.5, 2.5, UP), GoalSpec(1, 2), "y is not an integer: 2.5"),
+        (RobotState(0.5, 2, UP), GoalSpec(2.5, 2), "goal row is not an integer: 2.5"),
+        (RobotState(0.5, 2, UP), GoalSpec(1, 2.5), "goal_y is not an integer: 2.5"),
+        (RobotState(0.5, 2.5, UP), GoalSpec(1, 2.5), "y is not an integer: 2.5"),
+        (RobotState(0.5, math.inf, UP), GoalSpec(1, 2), "y out of range: inf"),
+        (RobotState(0.5, 2, UP), GoalSpec(math.nan, 2), "goal row out of range: nan"),
+    ],
+    ids=["y", "goal-row", "goal-y", "y-and-goal-y", "inf-y", "nan-goal-row"],
+)
+@pytest.mark.parametrize("entry", ["step", "Episode", "oracle_shortest"])
+def test_off_lattice_pose_or_goal_rejected_start_first(entry, start, goal, message):
+    field = FieldSpec(4, 5)
+    calls = {
+        "step": lambda: step(start, Action(UP, FORWARD), field, goal),
+        "Episode": lambda: Episode(field, start, goal),
+        "oracle_shortest": lambda: oracle_shortest(field, start, goal),
+    }
+    with pytest.raises(ValueError) as exc:
+        calls[entry]()
+    assert str(exc.value) == message
+
+
+@given(field_state_goal(), st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_episode_applies_the_rule_step_applies(fsg, pairs):
+    field, start, goal = fsg
+    episode = Episode(field, start, goal)
+    state, prev = start, None
+    for orientation, move in pairs:
+        if episode.done:
+            break
+        action = Action(orientation, move)
+        try:
+            want = step(state, action, field, goal, prev, start.corridor_x)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                episode.step(action)
+            continue
+        assert episode.step(action) == want
+        prev = want.next_state.y - state.y if move < 2 else 0
+        state = want.next_state
+        assert episode.state == state and episode.done == want.done
 
 
 @given(field_state_goal(), st.integers(0, 1), st.integers(0, 9), st.sampled_from([None, -1, 1]))
