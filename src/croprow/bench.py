@@ -25,7 +25,7 @@ from croprow.world import FieldSpec, GoalSpec, RobotState, sample_instance, simu
 
 CSV_HEADER = (
     "instance_id,planner,success,planning_time_ns,path_length_units,"
-    "num_macro_actions,failure_reason"
+    "num_macro_actions,failure_reason,nodes_expanded"
 )
 
 REFERENCE_LABEL = "published baseline (original study hardware)"
@@ -64,6 +64,7 @@ class BenchmarkRecord:
     path_length_units: float
     num_macro_actions: int
     failure_reason: str | None = None
+    nodes_expanded: int = 0
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,7 @@ def run_benchmark(
                     replay.total_distance,
                     len(result.macro_actions),
                     replay.failure_reason,
+                    result.nodes_expanded,
                 )
             )
     return records
@@ -145,8 +147,8 @@ def summarize(records: list[BenchmarkRecord]) -> dict[str, dict]:
     """The benchmark.json document: per planner, keyed by name and ordered by
     first appearance, planning-time mean, median and quartiles (linear
     interpolation), the count of times beyond 1.5 IQR of the quartiles, the
-    success rate, and the mean path length over successful runs (None if
-    there were none)."""
+    success rate, the mean path length over successful runs (None if there
+    were none), and the mean count of nodes the planner expanded."""
     grouped: dict[str, list[BenchmarkRecord]] = {}
     for record in sorted(records, key=lambda r: (r.instance_id, r.planner_id.value)):
         grouped.setdefault(record.planner_id.value, []).append(record)
@@ -166,6 +168,7 @@ def summarize(records: list[BenchmarkRecord]) -> dict[str, dict]:
             "mean_path_length": (
                 float(np.asarray(lengths, dtype=np.float64).mean()) if lengths else None
             ),
+            "mean_nodes_expanded": sum(r.nodes_expanded for r in group) / len(group),
         }
     return out
 
@@ -205,6 +208,7 @@ def write_records_csv(records: list[BenchmarkRecord], path) -> None:
                     r.path_length_units,
                     r.num_macro_actions,
                     r.failure_reason or "",
+                    r.nodes_expanded,
                 ]
             )
 

@@ -176,6 +176,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "raw_actions": [[a.orientation, a.move] for a in result.raw_actions],
             "path_length": result.path_length,
             "planning_time_ns": elapsed_ns,
+            "nodes_expanded": result.nodes_expanded,
             "success": result.success,
             "failure_reason": result.failure_reason,
         }
@@ -185,6 +186,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"raw {_brackets(result.raw_actions)}")
         print(f"path length {result.path_length:g}")
         print(f"planning time {elapsed_ns / 1e6:.3f} ms")
+        print(f"nodes expanded {result.nodes_expanded}")
     if not result.success:
         _log(f"planning failed: {result.failure_reason}")
         return 2

@@ -7,7 +7,8 @@ Two planners produce provably shortest routes:
   corridor) and writes its route down directly, O(path length) with O(1)
   decision work.
 * :func:`plan_astar` searches a compact implicit graph whose nodes are
-  corridor/headland waypoints, with an admissible Manhattan-style heuristic.
+  corridor/headland waypoints, held as integer pose ids, with an admissible
+  Manhattan-style heuristic, and counts the nodes it expands.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the deduplicated macro form used by the deployment
@@ -30,11 +31,11 @@ from croprow.world import (
     GoalSpec,
     RobotState,
     at_headland,
+    _transition,
+    check_action,
     check_state,
     goal_configs,
-    is_corridor,
-    is_goal,
-    step,
+    step,  # noqa: F401 - not called here; perfbench/workloads.py traces planners.step
 )
 
 
@@ -59,6 +60,7 @@ class PlanResult:
     planner_id: PlannerId
     success: bool = True
     failure_reason: str | None = None
+    nodes_expanded: int = 0  # A*'s non-stale heap pops, the goal pop included
 
 
 def dedup(actions: list[Action] | tuple[Action, ...]) -> tuple[Action, ...]:
@@ -84,26 +86,26 @@ def expand_macro_legs(
     replay is purely geometric: vertical runs end only at corridor ends.
     Raises ValueError when a macro cannot make progress, naming it.
     """
-    # Rewards are irrelevant here, but step() needs some goal to score against.
-    scored_goal = goal if goal is not None else GoalSpec(0, 0)
+    configs = () if goal is None else goal_configs(field, goal)
     state = start
     raw: list[Action] = []
     legs: list[list[RobotState]] = []
     for i, macro in enumerate(macros):
-        if goal is not None and is_goal(field, state, goal):
+        if state in configs:
             raise ValueError(f"macro {i} {macro}: route already complete")
         leg = [state]
         try:
+            check_state(field, state)  # the start; later states come from the rule
+            check_action(field, macro)
             while True:
-                out = step(state, macro, field, scored_goal)
+                # rewards are not read here, so no previous move and any origin
+                out = _transition(field, state, macro, configs, None, state.corridor_x)
                 if macro.move < 2 and out.distance_delta == 0:
                     raise ValueError("no progress at corridor bounds")
                 state = out.next_state
                 raw.append(macro)
                 leg.append(state)
-                if macro.move >= 2 or at_headland(field, state.y) or (
-                    goal is not None and out.done
-                ):
+                if macro.move >= 2 or at_headland(field, state.y) or out.done:
                     break
         except ValueError as exc:
             raise ValueError(f"macro {i} {macro}: {exc}") from exc
@@ -111,7 +113,9 @@ def expand_macro_legs(
     return raw, legs
 
 
-def _plan_from_route(route: list[RobotState], planner_id: PlannerId) -> PlanResult:
+def _plan_from_route(
+    route: list[RobotState], planner_id: PlannerId, nodes_expanded: int = 0
+) -> PlanResult:
     """The plan along a pose route; its length is the sum of the hops.  A
     vertical hop becomes unit moves with the hop's heading, preceded by one
     switch action carrying that heading when it starts in another corridor
@@ -129,7 +133,7 @@ def _plan_from_route(route: list[RobotState], planner_id: PlannerId) -> PlanResu
             corridor = cur.corridor_x
         move = FORWARD if (cur.y > prev.y) == (cur.orientation == UP) else BACKWARD
         raw += [Action(cur.orientation, move)] * abs(cur.y - prev.y)
-    return PlanResult(tuple(raw), dedup(raw), length, planner_id)
+    return PlanResult(tuple(raw), dedup(raw), length, planner_id, nodes_expanded=nodes_expanded)
 
 
 def _heuristic_route(
@@ -173,79 +177,80 @@ def plan_heuristic(request: PlanRequest) -> PlanResult:
     return _plan_from_route(route, PlannerId.HEURISTIC)
 
 
-def _astar_heuristic(
-    node: RobotState, configs: tuple[RobotState, ...], edges: tuple[int, int]
-) -> float:
+def _astar_heuristic(node: int, goals: tuple[tuple[int, int, int], ...], span: int) -> int:
     """Lower bound on remaining distance: lateral offset plus vertical travel,
     routed through a headland whenever the corridor or heading must change."""
+    corridor, y1 = divmod(node >> 1, span)
     best = None
-    for cfg in configs:
-        if node.corridor_x == cfg.corridor_x and node.orientation == cfg.orientation:
-            h = abs(node.y - cfg.y)
-        else:
-            via = min(abs(node.y - e) + abs(e - cfg.y) for e in edges)
-            h = abs(node.corridor_x - cfg.corridor_x) + via
+    for goal_corridor, goal_y1, goal_heading in goals:
+        if corridor == goal_corridor and node & 1 == goal_heading:
+            h = abs(y1 - goal_y1)
+        else:  # via the headland at y1 = 0 or at y1 = span - 1
+            h = abs(corridor - goal_corridor) + min(y1 + goal_y1, 2 * span - 2 - y1 - goal_y1)
         if best is None or h < best:
             best = h
-    return float(best)
+    return best
 
 
-def _astar_successors(
-    field: FieldSpec, node: RobotState, by_corridor: dict[float, RobotState]
-):
-    top = field.corridor_len
-    cfg = by_corridor.get(node.corridor_x)
-    if not at_headland(field, node.y):
-        for edge in (top, -1):
-            yield RobotState(node.corridor_x, edge, node.orientation), abs(node.y - edge)
+def _astar_successors(node: int, span: int, size: int, direct: dict[int, tuple[int, int]]):
+    """(pose id, cost) of the edges out of ``node``: an interior pose goes to
+    both headlands; a headland pose steps to each neighbouring corridor, flips
+    for free and crosses to the opposite headland; a pose in a goal corridor
+    with the goal's heading also drives straight to the goal."""
+    corridor, y1 = divmod(node >> 1, span)
+    top = span - 1
+    if 0 < y1 < top:
+        out = [(node + ((top - y1) << 1), top - y1), (node - (y1 << 1), y1)]
     else:
-        for nx in (node.corridor_x - 1.0, node.corridor_x + 1.0):
-            if is_corridor(field, nx):
-                yield RobotState(nx, node.y, node.orientation), 1
-        yield RobotState(node.corridor_x, node.y, 1 - node.orientation), 0
-        opposite = top if node.y == -1 else -1
-        yield RobotState(node.corridor_x, opposite, node.orientation), top + 1
-    if cfg is not None and cfg.orientation == node.orientation:
-        yield cfg, abs(node.y - cfg.y)
+        out = [(nxt, 1) for nxt in (node - 2 * span, node + 2 * span) if 0 <= nxt < size]
+        out += [(node ^ 1, 0), (node + (top << 1) if y1 == 0 else node - (top << 1), top)]
+    leg = direct.get(corridor << 1 | node & 1)
+    if leg is not None:
+        out.append((leg[0], abs(y1 - leg[1])))
+    return out
 
 
 def _astar_route(
     field: FieldSpec, start: RobotState, goal: GoalSpec
-) -> list[RobotState]:
-    configs = goal_configs(field, goal)
-    targets = set(configs)
-    if start in targets:
-        return [start]
-    by_corridor = {c.corridor_x: c for c in configs}
-    edges = (field.corridor_len, -1)
+) -> tuple[list[RobotState], int]:
+    """The route and the count of non-stale heap pops, the goal pop included.
 
-    best_g: dict[RobotState, float] = {start: 0.0}
-    parent: dict[RobotState, RobotState] = {}
-    h0 = _astar_heuristic(start, configs, edges)
-    frontier: list[tuple[float, int, float, RobotState]] = [(h0, 0, 0.0, start)]
-    tick = 0  # insertion order; FIFO among equal f
+    Nodes are pose ids ``((corridor * span + y + 1) << 1) | orientation`` with
+    ``span = corridor_len + 2``; ties between equal f pop in insertion order."""
+    configs = goal_configs(field, goal)
+    if start in configs:
+        return [start], 0
+    span, size = field.corridor_len + 2, 2 * (field.corridor_len + 2) * (field.num_rows - 1)
+    goals = tuple((int(c.corridor_x - 0.5), int(c.y) + 1, c.orientation) for c in configs)
+    direct = {c << 1 | o: (((c * span + y1) << 1) | o, y1) for c, y1, o in goals}
+    targets = {target for target, _ in direct.values()}
+    origin = ((int(start.corridor_x - 0.5) * span + int(start.y) + 1) << 1) | int(start.orientation)
+    best_g, parent = {origin: 0}, {}
+    frontier = [(_astar_heuristic(origin, goals, span), 0, 0, origin)]
+    tick = pops = 0  # tick: insertion order, FIFO among equal f
     while frontier:
-        f, _, g, node = heapq.heappop(frontier)
-        if g > best_g.get(node, g):
+        _, _, g, node = heapq.heappop(frontier)
+        if g > best_g[node]:
             continue
+        pops += 1
         if node in targets:
-            path = [node]
-            while node != start:
+            path = []
+            while node != origin:
+                corridor, y1 = divmod(node >> 1, span)
+                path.append(RobotState(corridor + 0.5, y1 - 1, node & 1))
                 node = parent[node]
-                path.append(node)
-            return path[::-1]
-        for succ, cost in _astar_successors(field, node, by_corridor):
+            return [start, *reversed(path)], pops
+        for succ, cost in _astar_successors(node, span, size, direct):
             ng = g + cost
             if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
                 parent[succ] = node
                 tick += 1
-                nf = ng + _astar_heuristic(succ, configs, edges)
-                heapq.heappush(frontier, (nf, tick, ng, succ))
+                heapq.heappush(frontier, (ng + _astar_heuristic(succ, goals, span), tick, ng, succ))
     raise RuntimeError("search space exhausted without reaching the goal")
 
 
 def plan_astar(request: PlanRequest) -> PlanResult:
     check_state(request.field, request.start)
-    route = _astar_route(request.field, request.start, request.goal)
-    return _plan_from_route(route, PlannerId.GRAPH_ASTAR)
+    route, pops = _astar_route(request.field, request.start, request.goal)
+    return _plan_from_route(route, PlannerId.GRAPH_ASTAR, pops)

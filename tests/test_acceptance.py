@@ -172,6 +172,24 @@ def test_criterion_3_scaling_shape():
     )
 
 
+def test_criterion_3_astar_node_counts_increase():
+    """The count behind criterion 3's A* timing: mean nodes expanded on the
+    same instances, which a loaded machine cannot move."""
+    sizes = [10, 65, 200]
+    counts: dict[int, list[int]] = {}
+
+    def counting(request):
+        result = plan_astar(request)
+        counts.setdefault(request.field.num_rows, []).append(result.nodes_expanded)
+        return result
+
+    astar = Planner(PlannerId.GRAPH_ASTAR, counting)
+    scaling_sweep(astar, sizes, seed=SEED, instances_per_size=1000, repetitions=1)
+    means = [sum(counts[size]) / len(counts[size]) for size in sizes]
+    print(f"\nastar mean nodes expanded {[f'{m:.1f}' for m in means]} at rows {sizes}")
+    assert all(b >= a for a, b in zip(means, means[1:])), means
+
+
 def test_criterion_4_stage1_training(stage1_net):
     net, train_time = stage1_net
     t0 = time.perf_counter()

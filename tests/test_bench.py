@@ -52,6 +52,7 @@ def csv_records(path) -> list[BenchmarkRecord]:
                 float(row["path_length_units"]),
                 int(row["num_macro_actions"]),
                 row["failure_reason"] or None,
+                int(row["nodes_expanded"]),
             )
             for row in reader
         ]
@@ -126,6 +127,8 @@ class TestRunBenchmark:
                 assert rec.path_length_units == optimal
                 assert rec.planning_time_ns >= 1
                 assert rec.num_macro_actions >= 1
+                # A* counts its pops, the goal pop included; the heuristic pops none
+                assert (rec.nodes_expanded >= 1) == (planner_id is PlannerId.GRAPH_ASTAR)
 
     def test_record_order_is_instance_then_planner(self):
         instances = generate_instances(FieldSpec(4, 4), 5, seed=0)
@@ -205,14 +208,14 @@ class TestStats:
         R, P = BenchmarkRecord, PlannerId
         lost = "step budget exhausted"
         records = [
-            R(3, P.GRAPH_ASTAR, True, 1_480_000, 14.0, 3),
+            R(3, P.GRAPH_ASTAR, True, 1_480_000, 14.0, 3, nodes_expanded=12),
             R(0, P.HEURISTIC, True, 250_000, 12.0, 3),
-            R(0, P.GRAPH_ASTAR, True, 1_300_000, 12.0, 3),
+            R(0, P.GRAPH_ASTAR, True, 1_300_000, 12.0, 3, nodes_expanded=10),
             R(1, P.HEURISTIC, True, 310_000, 9.0, 2),
             R(1, P.DQN, False, 2_900_000, 40.0, 7, lost),
             R(2, P.HEURISTIC, True, 275_000, 17.0, 3),
-            R(2, P.GRAPH_ASTAR, True, 9_700_000, 15.0, 3),
-            R(1, P.GRAPH_ASTAR, True, 1_210_000, 9.0, 2),
+            R(2, P.GRAPH_ASTAR, True, 9_700_000, 15.0, 3, nodes_expanded=40),
+            R(1, P.GRAPH_ASTAR, True, 1_210_000, 9.0, 2, nodes_expanded=6),
             R(0, P.DQN, False, 2_600_000, 13.0, 4, lost),
             R(3, P.HEURISTIC, True, 260_000, 14.0, 3),
             R(2, P.DQN, False, 2_750_000, 16.0, 4, lost),
@@ -224,16 +227,19 @@ class TestStats:
                 "mean_time_ns": 3422500.0, "median_time_ns": 1390000.0,
                 "q1": 1277500.0, "q3": 3535000.0, "outliers": 1,
                 "success_rate": 1.0, "mean_path_length": 12.5,
+                "mean_nodes_expanded": 17.0,
             }),
             ("dqn", {
                 "mean_time_ns": 2750000.0, "median_time_ns": 2750000.0,
                 "q1": 2675000.0, "q3": 2825000.0, "outliers": 0,
                 "success_rate": 0.0, "mean_path_length": None,
+                "mean_nodes_expanded": 0.0,
             }),
             ("heuristic", {
                 "mean_time_ns": 273750.0, "median_time_ns": 267500.0,
                 "q1": 257500.0, "q3": 283750.0, "outliers": 0,
                 "success_rate": 1.0, "mean_path_length": 13.0,
+                "mean_nodes_expanded": 0.0,
             }),
         ]
         assert format_table(summary) == (
@@ -249,7 +255,7 @@ class TestReport:
     def test_csv_header_and_round_trip(self, tmp_path):
         assert CSV_HEADER == (
             "instance_id,planner,success,planning_time_ns,path_length_units,"
-            "num_macro_actions,failure_reason"
+            "num_macro_actions,failure_reason,nodes_expanded"
         )
         instances = generate_instances(FieldSpec(5, 5), 8, seed=21)
         records = run_benchmark([HEURISTIC, ASTAR], instances)
@@ -263,6 +269,7 @@ class TestReport:
         records = [
             BenchmarkRecord(0, PlannerId.DQN, False, 7, 2.0, 1, "lost, badly"),
             BenchmarkRecord(1, PlannerId.HEURISTIC, True, 9, 3.0, 2),
+            BenchmarkRecord(2, PlannerId.GRAPH_ASTAR, True, 11, 3.0, 2, None, 17),
         ]
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
@@ -280,6 +287,7 @@ class TestReport:
             "outliers",
             "success_rate",
             "mean_path_length",
+            "mean_nodes_expanded",
         }
         assert doc["heuristic"]["success_rate"] == 1.0
 

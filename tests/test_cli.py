@@ -47,6 +47,14 @@ class TestPlan:
         )
         assert code == 0
         assert "path length 4" in out
+        assert "nodes expanded 4" in out
+
+    def test_astar_json_counts_nodes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "plan", "--planner", "astar", *WHERE, "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["nodes_expanded"] == 4
 
     def test_terminal_start_empty_sequence(self, capsys):
         code, out, _ = run_cli(
@@ -96,6 +104,7 @@ class TestPlan:
         assert doc["path_length"] == 4
         assert doc["success"] is True
         assert doc["planning_time_ns"] >= 1
+        assert doc["nodes_expanded"] == 0  # the heuristic searches nothing
 
     def test_calls_the_module_global_planner(self, capsys, monkeypatch):
         calls = []

@@ -225,6 +225,14 @@ def test_macro_fidelity(request):
         assert dedup(expanded) == result.macro_actions
 
 
+def test_astar_takes_integral_float_headings_and_goals():
+    # check_state and check_goal admit 1.0 for 1; the search packs them as ints
+    field = FieldSpec(6, 5)
+    as_ints = plan_astar(PlanRequest(field, RobotState(0.5, 2, 1), GoalSpec(4, 3)))
+    as_floats = plan_astar(PlanRequest(field, RobotState(0.5, 2, 1.0), GoalSpec(4.0, 3.0)))
+    assert as_floats == as_ints
+
+
 @given(plan_instances())
 @settings(max_examples=50, deadline=None)
 def test_purity(request):
@@ -314,7 +322,18 @@ class TestPinnedOutputs:
     def test_macro_expansion_on_random_sequences(self):
         assert _digest(_macro_outputs(3000, seed=5)) == MACRO_DIGEST
 
+    def test_astar_node_count_on_the_seeded_65_row_suite(self):
+        # A* pops in the same order whatever its state type; a new tie rule
+        # or graph shows up here as a count (pinned before the search moved
+        # to integer pose ids)
+        requests = [
+            PlanRequest(i.field, i.start, i.goal)
+            for i in generate_instances(FieldSpec(65, 10), 300, seed=11)
+        ]
+        assert sum(plan_astar(r).nodes_expanded for r in requests) == SUITE_65_ASTAR_NODES
+
 
 SMALL_FIELD_DIGEST = "3275b7c410388704a70188a98014813d0c85ea11f4dad16743b998fd3dcd1b02"
 SUITE_65_DIGEST = "da658a1bee067e8578d6825c44a32224ec0a3a14f1363bbf9c00861750f5dca2"
 MACRO_DIGEST = "82cda687d3e59cf546c244e8b9f277dccbc351ffa66a2b8fb06af7fb93b751ec"
+SUITE_65_ASTAR_NODES = 15373
