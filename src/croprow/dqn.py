@@ -6,7 +6,10 @@ widest field the curriculum will reach: 2 orientations x (2 vertical moves +
 one switch target per corridor).  Narrower fields, and states away from a
 headland, mask invalid entries to -inf during both action selection and
 Bellman backups.  Forward, backward, and the Adam update are written out
-here so the training loop has no dependencies beyond numpy.
+here so the training loop has no dependencies beyond numpy.  An update
+writes into preallocated arrays with ``out=`` ufuncs, doing Kingma & Ba's
+Adam arithmetic in its written order, so checkpoints are byte-identical to
+those of earlier versions on the same machine.
 """
 
 from __future__ import annotations
@@ -105,24 +108,28 @@ class QNetwork:
         acts = [np.asarray(x, dtype=self.weights[0].dtype)]
         h = acts[0]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
+            h = h @ W
+            h += b
+            np.maximum(h, 0.0, out=h)
             acts.append(h)
         out = h @ self.weights[-1] + self.biases[-1]
         return out, acts
 
-    def backward(self, acts: list[np.ndarray], dout: np.ndarray):
+    def backward(self, acts: list[np.ndarray], dout: np.ndarray, dW_out=None):
         """Gradients of a scalar loss given d(loss)/d(output).
 
-        Returns (dweights, dbiases) matching the layer lists.
+        Returns (dweights, dbiases) matching the layer lists, the weight
+        gradients in ``dW_out`` (arrays shaped like the weights) if given.
         """
-        dW = [np.empty(0)] * len(self.weights)
+        dW = list(dW_out or [None] * len(self.weights))
         db = [np.empty(0)] * len(self.biases)
         delta = np.asarray(dout, dtype=self.weights[0].dtype)
         for i in range(len(self.weights) - 1, -1, -1):
-            dW[i] = acts[i].T @ delta
+            dW[i] = np.matmul(acts[i].T, delta, out=dW[i])
             db[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (acts[i] > 0)
+                delta = delta @ self.weights[i].T
+                np.multiply(delta, acts[i] > 0, out=delta)
         return dW, db
 
     @classmethod
@@ -148,49 +155,62 @@ class QNetwork:
 
 
 def bellman_loss_and_grads(
-    net: QNetwork,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
+    net: QNetwork, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray, dW_out=None
 ):
-    """Mean squared TD error over a batch, with gradients for every parameter."""
+    """Mean squared TD error over a batch, with gradients for every parameter
+    (the weights' in ``dW_out`` when it is given, as in :meth:`QNetwork.backward`)."""
     q, acts = net.forward_cached(obs)
     rows = np.arange(q.shape[0])
     err = q[rows, actions] - np.asarray(targets, dtype=q.dtype)
     loss = float(np.mean(err**2))
-    dq = np.zeros_like(q)
-    dq[rows, actions] = 2.0 * err / q.shape[0]
-    dW, db = net.backward(acts, dq)
+    q.fill(0.0)  # q is spent; its array becomes d(loss)/dq
+    q[rows, actions] = 2.0 * err / q.shape[0]
+    dW, db = net.backward(acts, q, dW_out)
     return loss, dW, db
 
 
 class Adam:
     """Adam optimizer over a QNetwork's weights then biases, with the fixed
-    ADAM_* moment rates."""
+    ADAM_* moment rates.  Next to the moments it keeps the arrays a training
+    update writes into: two scratch arrays per parameter for its step, a
+    float64 one per parameter for the squares :func:`clip_gradients` sums,
+    and one per weight for its gradient.  Gradients have the parameters' dtype."""
 
     def __init__(self, net: QNetwork, lr: float) -> None:
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
-        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
+        params = net.weights + net.biases
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.squares = [np.empty(p.shape, dtype=np.float64) for p in params]
+        self.grads = [np.empty_like(W) for W in net.weights]
 
     def step(self, net: QNetwork, dW: list[np.ndarray], db: list[np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(net.weights + net.biases, dW + db, self.m, self.v):
+        params = net.weights + net.biases
+        for p, g, m, v, (s, u) in zip(params, dW + db, self.m, self.v, self.scratch):
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=s), out=s)
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+            np.multiply(self.lr, np.divide(m, bc1, out=s), out=s)
+            np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAM_EPS, out=u)
+            p -= np.divide(s, u, out=s)
 
 
-def clip_gradients(dW: list[np.ndarray], db: list[np.ndarray], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most max_norm (> 0)."""
+def clip_gradients(
+    dW: list[np.ndarray], db: list[np.ndarray], max_norm: float, squares=None
+) -> float:
+    """Scale gradients so their global L2 norm is at most max_norm (> 0);
+    returns the norm.  ``squares`` (float64 arrays shaped like ``(*dW, *db)``,
+    such as ``Adam.squares``) takes the squared gradients, else they are new."""
     total = 0.0
-    for g in (*dW, *db):
-        total += float(np.sum(np.square(g, dtype=np.float64)))
+    for g, sq in zip((*dW, *db), squares or [None] * (len(dW) + len(db))):
+        total += float(np.sum(np.square(g, dtype=np.float64, out=sq)))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
@@ -325,8 +345,8 @@ def train_step(
         return None
     obs, actions, rewards, next_obs, dones, next_masks = buffer.sample(BATCH_SIZE, rng)
     targets = td_targets(target_net, rewards, next_obs, dones, next_masks, cfg.gamma)
-    loss, dW, db = bellman_loss_and_grads(net, obs, actions, targets)
-    clip_gradients(dW, db, GRAD_CLIP_NORM)
+    loss, dW, db = bellman_loss_and_grads(net, obs, actions, targets, optimizer.grads)
+    clip_gradients(dW, db, GRAD_CLIP_NORM, optimizer.squares)
     optimizer.step(net, dW, db)
     return loss
 

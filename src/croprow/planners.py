@@ -132,7 +132,7 @@ def _plan_from_route(
             raw.append(Action(cur.orientation, int(cur.corridor_x + 1.5)))
             corridor = cur.corridor_x
         move = FORWARD if (cur.y > prev.y) == (cur.orientation == UP) else BACKWARD
-        raw += [Action(cur.orientation, move)] * abs(cur.y - prev.y)
+        raw += [Action(cur.orientation, move)] * int(abs(cur.y - prev.y))  # y may be 2.0
     return PlanResult(tuple(raw), dedup(raw), length, planner_id, nodes_expanded=nodes_expanded)
 
 

@@ -14,7 +14,11 @@ from scipy import stats
 from croprow.bench import generate_instances
 from croprow.cli import _parse_stages
 from croprow.dqn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     BATCH_SIZE,
+    GRAD_CLIP_NORM,
     Adam,
     CurriculumStage,
     QNetwork,
@@ -267,6 +271,193 @@ class TestTraining:
             assert np.array_equal(W, V)
         net_c, log_c = train_stage(stage, cfg, seed=43)
         assert log_a != log_c
+
+
+# The update path as it was before it wrote into preallocated arrays: every
+# temporary is a new array.  The library must reproduce it bit for bit.
+def ref_forward_cached(net: QNetwork, x):
+    acts = [np.asarray(x, dtype=net.weights[0].dtype)]
+    h = acts[0]
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(h @ W + b, 0.0)
+        acts.append(h)
+    return h @ net.weights[-1] + net.biases[-1], acts
+
+
+def ref_backward(net: QNetwork, acts, dout):
+    dW = [np.empty(0)] * len(net.weights)
+    db = [np.empty(0)] * len(net.biases)
+    delta = np.asarray(dout, dtype=net.weights[0].dtype)
+    for i in range(len(net.weights) - 1, -1, -1):
+        dW[i] = acts[i].T @ delta
+        db[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0)
+    return dW, db
+
+
+def ref_clip_gradients(dW, db, max_norm: float) -> float:
+    total = 0.0
+    for g in (*dW, *db):
+        total += float(np.sum(np.square(g, dtype=np.float64)))
+    norm = float(np.sqrt(total))
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in (*dW, *db):
+            g *= scale
+    return norm
+
+
+class RefAdam:
+    def __init__(self, net: QNetwork, lr: float) -> None:
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
+        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
+
+    def step(self, net: QNetwork, dW, db) -> None:
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for p, g, m, v in zip(net.weights + net.biases, dW + db, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def ref_train_step(net, target_net, buffer, cfg, optimizer, rng) -> float:
+    obs, actions, rewards, next_obs, dones, next_masks = buffer.sample(BATCH_SIZE, rng)
+    q_next = np.where(next_masks, ref_forward_cached(target_net, next_obs)[0], -np.inf)
+    best = q_next.max(axis=1)
+    targets = np.where(dones, rewards, rewards + cfg.gamma * best).astype(np.float32)
+    q, acts = ref_forward_cached(net, obs)
+    rows = np.arange(q.shape[0])
+    err = q[rows, actions] - np.asarray(targets, dtype=q.dtype)
+    dq = np.zeros_like(q)
+    dq[rows, actions] = 2.0 * err / q.shape[0]
+    dW, db = ref_backward(net, acts, dq)
+    norm = ref_clip_gradients(dW, db, GRAD_CLIP_NORM)
+    optimizer.step(net, dW, db)
+    return norm
+
+
+def random_buffer(seed: int, num_actions: int, reward_scale: float = 30.0) -> ReplayBuffer:
+    """Random transitions; large rewards make updates exceed the clip bound."""
+    rng = np.random.default_rng(seed)
+    buf = ReplayBuffer(512, num_actions)
+    for _ in range(512):
+        mask = rng.random(num_actions) < 0.7
+        mask[0] = True
+        buf.push(
+            rng.uniform(0, 1, 5),
+            int(rng.integers(num_actions)),
+            float(rng.normal(0.0, reward_scale)),
+            rng.uniform(0, 1, 5),
+            bool(rng.random() < 0.2),
+            mask,
+        )
+    return buf
+
+
+def same_bits(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b)
+    )
+
+
+class TestUpdatePath:
+    @pytest.mark.parametrize(
+        "make_net, reward_scale",
+        [
+            (lambda: toy_net(21, dtype=np.float32), 30.0),
+            (lambda: toy_net(21, dtype=np.float64), 30.0),
+            (lambda: QNetwork(8, (48, 40), np.random.default_rng(22)), 6.0),
+        ],
+        ids=["toy-float32", "toy-float64", "48x40-float32"],
+    )
+    def test_matches_the_allocating_reference_bit_for_bit(self, make_net, reward_scale):
+        cfg = TrainConfig(gamma=0.9, learning_rate=1e-2)
+        buf = random_buffer(7, 8, reward_scale)
+        net, ref = make_net(), make_net()
+        target, ref_target = net.copy(), ref.copy()
+        opt, ref_opt = Adam(net, cfg.learning_rate), RefAdam(ref, cfg.learning_rate)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        clipped = 0
+        for i in range(200):
+            train_step(net, target, buf, cfg, opt, rng)
+            clipped += ref_train_step(ref, ref_target, buf, cfg, ref_opt, ref_rng) > GRAD_CLIP_NORM
+            if (i + 1) % 50 == 0:
+                target.load_from(net)
+                ref_target.load_from(ref)
+        assert 0 < clipped < 200  # both branches of the clip ran
+        assert same_bits(net.weights + net.biases, ref.weights + ref.biases)
+        assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
+        assert opt.t == ref_opt.t == 200
+
+    def test_forward_and_backward_match_the_reference(self):
+        net = QNetwork(8, (48, 40), np.random.default_rng(5))
+        obs = np.random.default_rng(6).uniform(0, 1, (BATCH_SIZE, 5))
+        q, acts = net.forward_cached(obs)
+        ref_q, ref_acts = ref_forward_cached(net, obs)
+        assert same_bits([q, *acts], [ref_q, *ref_acts])
+        dout = np.random.default_rng(7).normal(size=q.shape).astype(q.dtype)
+        dW, db = net.backward(acts, dout)
+        assert same_bits(dW + db, sum(ref_backward(net, ref_acts, dout), []))
+
+    def test_optimizers_share_no_scratch(self):
+        cfg = TrainConfig(gamma=0.9, learning_rate=1e-2, hidden_sizes=(4, 4))
+        base = toy_net(31, dtype=np.float32)
+        data = {"a": (random_buffer(1, 8), 11), "b": (random_buffer(2, 8), 12)}
+
+        def grads(net, opt, buf, rng):
+            obs, actions, rewards, next_obs, dones, masks = buf.sample(BATCH_SIZE, rng)
+            targets = td_targets(net, rewards, next_obs, dones, masks, cfg.gamma)
+            return bellman_loss_and_grads(net, obs, actions, targets, opt.grads)[1:]
+
+        def start(name):
+            net = base.copy()
+            return net, Adam(net, cfg.learning_rate), np.random.default_rng(data[name][1])
+
+        alone = {}
+        for name in data:
+            net, opt, rng = start(name)
+            for _ in range(60):
+                dW, db = grads(net, opt, data[name][0], rng)
+                clip_gradients(dW, db, GRAD_CLIP_NORM, opt.squares)
+                opt.step(net, dW, db)
+            alone[name] = (net, opt)
+
+        runs = {name: start(name) for name in data}
+        for _ in range(60):
+            # every stage of one update runs for both before the next stage
+            g = {name: grads(*run[:2], data[name][0], run[2]) for name, run in runs.items()}
+            for name, (_, opt, _) in runs.items():
+                clip_gradients(*g[name], GRAD_CLIP_NORM, opt.squares)
+            for name, (net, opt, _) in runs.items():
+                opt.step(net, *g[name])
+        for name, (net, opt, _) in runs.items():
+            ref_net, ref_opt = alone[name]
+            assert same_bits(net.weights + net.biases, ref_net.weights + ref_net.biases)
+            assert same_bits(opt.m + opt.v, ref_opt.m + ref_opt.v)
+        a, b = runs["a"][1], runs["b"][1]
+        for x in (*sum(a.scratch, ()), *a.squares, *a.grads, *a.m, *a.v):
+            for y in (*sum(b.scratch, ()), *b.squares, *b.grads, *b.m, *b.v):
+                assert not np.shares_memory(x, y)
+
+    def test_clip_below_its_bound_leaves_gradients_bit_unchanged(self):
+        net = toy_net(41, dtype=np.float32)
+        obs = np.random.default_rng(8).uniform(0, 1, (BATCH_SIZE, 5))
+        actions = np.arange(BATCH_SIZE) % net.output_dim
+        _, dW, db = bellman_loss_and_grads(net, obs, actions, np.ones(BATCH_SIZE))
+        before = [g.copy() for g in dW + db]
+        total = sum(float(np.sum(np.square(g, dtype=np.float64))) for g in before)
+        reference = float(np.sqrt(total))
+        bound = 2.0 * reference
+        assert clip_gradients(dW, db, bound) == reference
+        assert clip_gradients(dW, db, bound, Adam(net, 1e-3).squares) == reference
+        assert same_bits(dW + db, before)
 
 
 class TestSchedule:

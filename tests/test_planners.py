@@ -233,6 +233,23 @@ def test_astar_takes_integral_float_headings_and_goals():
     assert as_floats == as_ints
 
 
+@pytest.mark.parametrize(
+    "planner, start, goal",
+    [
+        (plan_heuristic, RobotState(0.5, 2.0, 1), GoalSpec(4, 3)),
+        (plan_astar, RobotState(0.5, 2.0, 1), GoalSpec(4, 3)),
+        (plan_heuristic, RobotState(0.5, 2, 1), GoalSpec(4, 3.0)),
+    ],
+)
+def test_integral_float_y_plans_like_its_int(planner, start, goal):
+    # check_state and check_goal admit y = 2.0 for 2; the unit moves of a hop
+    # are counted as an int
+    field = FieldSpec(6, 5)
+    as_ints = planner(PlanRequest(field, RobotState(0.5, 2, 1), GoalSpec(4, 3)))
+    assert planner(PlanRequest(field, start, goal)) == as_ints
+    assert as_ints.success and as_ints.raw_actions
+
+
 @given(plan_instances())
 @settings(max_examples=50, deadline=None)
 def test_purity(request):
