@@ -174,7 +174,8 @@ class Adam:
     ADAM_* moment rates.  Next to the moments it keeps the arrays a training
     update writes into: two scratch arrays per parameter for its step, a
     float64 one per parameter for the squares :func:`clip_gradients` sums,
-    and one per weight for its gradient.  Gradients have the parameters' dtype."""
+    and one per weight for its gradient.  Gradients have the parameters' dtype.
+    Every 32 updates, first moments below the dtype's smallest normal become 0."""
 
     def __init__(self, net: QNetwork, lr: float) -> None:
         self.lr = lr
@@ -200,6 +201,8 @@ class Adam:
             np.multiply(self.lr, np.divide(m, bc1, out=s), out=s)
             np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAM_EPS, out=u)
             p -= np.divide(s, u, out=s)
+            if self.t % 32 == 0:  # dead units' m decays through slow subnormals
+                np.copyto(m, 0.0, where=np.abs(m, out=s) < np.finfo(m.dtype).tiny)
 
 
 def clip_gradients(

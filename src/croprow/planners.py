@@ -7,8 +7,9 @@ Two planners produce provably shortest routes:
   corridor) and writes its route down directly, O(path length) with O(1)
   decision work.
 * :func:`plan_astar` searches a compact implicit graph whose nodes are
-  corridor/headland waypoints, held as integer pose ids, with an admissible
-  Manhattan-style heuristic, and counts the nodes it expands.
+  corridor/headland waypoints, held as integer pose ids, with a closed-form
+  Manhattan-style bound and ties broken toward larger g, and counts the
+  nodes it expands.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the deduplicated macro form used by the deployment
@@ -177,21 +178,6 @@ def plan_heuristic(request: PlanRequest) -> PlanResult:
     return _plan_from_route(route, PlannerId.HEURISTIC)
 
 
-def _astar_heuristic(node: int, goals: tuple[tuple[int, int, int], ...], span: int) -> int:
-    """Lower bound on remaining distance: lateral offset plus vertical travel,
-    routed through a headland whenever the corridor or heading must change."""
-    corridor, y1 = divmod(node >> 1, span)
-    best = None
-    for goal_corridor, goal_y1, goal_heading in goals:
-        if corridor == goal_corridor and node & 1 == goal_heading:
-            h = abs(y1 - goal_y1)
-        else:  # via the headland at y1 = 0 or at y1 = span - 1
-            h = abs(corridor - goal_corridor) + min(y1 + goal_y1, 2 * span - 2 - y1 - goal_y1)
-        if best is None or h < best:
-            best = h
-    return best
-
-
 def _astar_successors(node: int, span: int, size: int, direct: dict[int, tuple[int, int]]):
     """(pose id, cost) of the edges out of ``node``: an interior pose goes to
     both headlands; a headland pose steps to each neighbouring corridor, flips
@@ -216,7 +202,10 @@ def _astar_route(
     """The route and the count of non-stale heap pops, the goal pop included.
 
     Nodes are pose ids ``((corridor * span + y + 1) << 1) | orientation`` with
-    ``span = corridor_len + 2``; ties between equal f pop in insertion order."""
+    ``span = corridor_len + 2``.  Every node pushed after the start is a
+    headland or goal pose, whose distance bound is the corridors to the nearer
+    goal corridor plus the rows to the goal's y.  Ties between equal f pop the
+    larger g first, then the smaller id (Asai & Fukunaga, AAAI 2016)."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
@@ -224,12 +213,14 @@ def _astar_route(
     goals = tuple((int(c.corridor_x - 0.5), int(c.y) + 1, c.orientation) for c in configs)
     direct = {c << 1 | o: (((c * span + y1) << 1) | o, y1) for c, y1, o in goals}
     targets = {target for target, _ in direct.values()}
+    lo, hi, goal_y1 = min(goals)[0], max(goals)[0], goals[0][1]
     origin = ((int(start.corridor_x - 0.5) * span + int(start.y) + 1) << 1) | int(start.orientation)
     best_g, parent = {origin: 0}, {}
-    frontier = [(_astar_heuristic(origin, goals, span), 0, 0, origin)]
-    tick = pops = 0  # tick: insertion order, FIFO among equal f
+    frontier = [(0, 0, origin)]  # (f, -g, node); the start pops first whatever its f
+    pops = 0
     while frontier:
-        _, _, g, node = heapq.heappop(frontier)
+        _, neg_g, node = heapq.heappop(frontier)
+        g = -neg_g
         if g > best_g[node]:
             continue
         pops += 1
@@ -245,8 +236,9 @@ def _astar_route(
             if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
                 parent[succ] = node
-                tick += 1
-                heapq.heappush(frontier, (ng + _astar_heuristic(succ, goals, span), tick, ng, succ))
+                corridor, y1 = divmod(succ >> 1, span)
+                h = max(lo - corridor, corridor - hi, 0) + abs(y1 - goal_y1)
+                heapq.heappush(frontier, (ng + h, -ng, succ))
     raise RuntimeError("search space exhausted without reaching the goal")
 
 

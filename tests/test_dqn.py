@@ -459,6 +459,26 @@ class TestUpdatePath:
         assert clip_gradients(dW, db, bound, Adam(net, 1e-3).squares) == reference
         assert same_bits(dW + db, before)
 
+    def test_adam_zeroes_subnormal_first_moments_at_update_32(self):
+        net, ref = toy_net(51, dtype=np.float32), toy_net(51, dtype=np.float32)
+        opt, ref_opt = Adam(net, 1e-3), RefAdam(ref, 1e-3)
+        tiny = np.finfo(np.float32).tiny
+        # after 32 updates at 0.9 the first is still subnormal, the second normal
+        opt.m[0].flat[:2] = ref_opt.m[0].flat[:2] = tiny / 2**10, tiny * 2**6
+        rng = np.random.default_rng(52)
+        for t in range(1, 33):
+            grads = [rng.normal(size=p.shape).astype(np.float32) for p in net.weights + net.biases]
+            grads[0].flat[:2] = 0.0  # dead units' weights
+            dW, db = grads[: len(net.weights)], grads[len(net.weights) :]
+            opt.step(net, dW, db)
+            ref_opt.step(ref, dW, db)
+            assert 0 < ref_opt.m[0].flat[0] < tiny <= ref_opt.m[0].flat[1]
+            assert opt.m[0].flat[0] == (0.0 if t == 32 else ref_opt.m[0].flat[0])
+            ref_m0 = ref_opt.m[0].copy()
+            ref_m0.flat[0] = opt.m[0].flat[0]
+            assert same_bits([ref_m0, *ref_opt.m[1:]], opt.m) and same_bits(opt.v, ref_opt.v)
+            assert same_bits(net.weights + net.biases, ref.weights + ref.biases)
+
 
 class TestSchedule:
     def test_epsilon_endpoints(self):

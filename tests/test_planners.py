@@ -4,6 +4,7 @@ exhaustive and randomized optimality checks against the motion oracle."""
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -203,6 +204,24 @@ class TestOptimalityExhaustive:
                 assert replay.total_distance == result.path_length
 
 
+    def test_astar_on_every_pose_and_goal_of_a_12_row_field(self):
+        # wide enough that A*'s bound prunes: every start pose (11 corridors x
+        # 8 y x 2 orientations) against every goal, checked against the oracle,
+        # and a seeded subset replayed through the simulator
+        field = FieldSpec(12, 6)
+        goals = [GoalSpec(row, gy) for row in range(12) for gy in range(6)]
+        pairs = [(start, goal) for goal in goals for start in all_states(field)]
+        assert len(pairs) == 11 * 8 * 2 * 72
+        replayed = set(np.random.default_rng(12).choice(len(pairs), 500, replace=False).tolist())
+        for i, (start, goal) in enumerate(pairs):
+            result = plan_astar(PlanRequest(field, start, goal))
+            assert result.path_length == oracle_shortest(field, start, goal), (start, goal)
+            if i in replayed:
+                replay = simulate(field, start, goal, list(result.raw_actions))
+                assert replay.success, replay.failure_reason
+                assert replay.total_distance == result.path_length
+
+
 @given(plan_instances())
 @settings(max_examples=150, deadline=None)
 def test_optimality_random(request):
@@ -288,15 +307,20 @@ def _small_field_requests():
                 yield PlanRequest(field, start, bad_goals[0])
 
 
-def _plan_outputs(requests):
+_PLAN = attrgetter("raw_actions", "macro_actions", "path_length")
+
+
+def _plan_outputs(requests, astar_view=_PLAN):
+    """Each planner's output for each request, or its ValueError; A*'s output
+    is ``astar_view`` of its result."""
     for request in requests:
-        for planner in (plan_heuristic, plan_astar):
+        for planner, view in ((plan_heuristic, _PLAN), (plan_astar, astar_view)):
             try:
                 result = planner(request)
             except ValueError as exc:
                 yield type(exc).__name__, str(exc)
             else:
-                yield result.raw_actions, result.macro_actions, result.path_length
+                yield view(result)
 
 
 def _macro_outputs(count: int, seed: int):
@@ -322,9 +346,11 @@ def _macro_outputs(count: int, seed: int):
 
 
 class TestPinnedOutputs:
-    """Digests of planner and macro-expansion outputs, computed before the
-    planners were rebuilt around one route-to-plan function; any change to a
-    plan, a length or an error message changes a digest."""
+    """Digests of planner and macro-expansion outputs; any change to a plan, a
+    length or an error message changes a digest.  The macro digest and the
+    route-length digest predate A*'s larger-g tie rule; the two plan digests
+    and the node count were re-pinned for it, since among equal-length routes
+    A* now returns the one on its larger-g path."""
 
     def test_plans_on_every_small_field_instance(self):
         assert _digest(_plan_outputs(_small_field_requests())) == SMALL_FIELD_DIGEST
@@ -340,17 +366,28 @@ class TestPinnedOutputs:
         assert _digest(_macro_outputs(3000, seed=5)) == MACRO_DIGEST
 
     def test_astar_node_count_on_the_seeded_65_row_suite(self):
-        # A* pops in the same order whatever its state type; a new tie rule
-        # or graph shows up here as a count (pinned before the search moved
-        # to integer pose ids)
+        # a new tie rule, bound or graph shows up here as a count (re-pinned
+        # when A*'s ties went to larger g)
         requests = [
             PlanRequest(i.field, i.start, i.goal)
             for i in generate_instances(FieldSpec(65, 10), 300, seed=11)
         ]
         assert sum(plan_astar(r).nodes_expanded for r in requests) == SUITE_65_ASTAR_NODES
 
+    def test_route_lengths_outlive_a_new_search_order(self):
+        # every heuristic output, and A*'s length and success or its error:
+        # what a new tie rule or bound for A* must not move (pinned before
+        # A* broke ties toward larger g)
+        requests = [*_small_field_requests()] + [
+            PlanRequest(i.field, i.start, i.goal)
+            for i in generate_instances(FieldSpec(65, 10), 300, seed=11)
+        ]
+        view = attrgetter("path_length", "success")
+        assert _digest(_plan_outputs(requests, view)) == ROUTE_LENGTH_DIGEST
 
-SMALL_FIELD_DIGEST = "3275b7c410388704a70188a98014813d0c85ea11f4dad16743b998fd3dcd1b02"
-SUITE_65_DIGEST = "da658a1bee067e8578d6825c44a32224ec0a3a14f1363bbf9c00861750f5dca2"
+
+SMALL_FIELD_DIGEST = "1a8f22784f7c8c4db70e9a440f7476529e1fc440ba0ce5e9caef50ccd07e30ea"
+SUITE_65_DIGEST = "3ecbbcf1d856d77b6796c8002d0fc73ab481867fef788b0d3f97dc57070a9285"
 MACRO_DIGEST = "82cda687d3e59cf546c244e8b9f277dccbc351ffa66a2b8fb06af7fb93b751ec"
-SUITE_65_ASTAR_NODES = 15373
+SUITE_65_ASTAR_NODES = 7590
+ROUTE_LENGTH_DIGEST = "78c6578738c3e760df13f77d61aa37e01cf3473563d6068dd9e187bf0771d9ac"
