@@ -6,15 +6,18 @@ widest field the curriculum will reach: 2 orientations x (2 vertical moves +
 one switch target per corridor).  Narrower fields, and states away from a
 headland, mask invalid entries to -inf during both action selection and
 Bellman backups.  Forward, backward, and the Adam update are written out
-here so the training loop has no dependencies beyond numpy.  An update
-writes into preallocated arrays with ``out=`` ufuncs, doing Kingma & Ba's
-Adam arithmetic in its written order, so checkpoints are byte-identical to
-those of earlier versions on the same machine.
+here so the training loop has no dependencies beyond numpy.  The parameters
+are one flat vector that the layer arrays view.  An update writes into
+vectors of that layout with ``out=`` ufuncs, doing Kingma & Ba's Adam
+arithmetic in its written order over the whole vector, and sums the gradient
+norm one parameter at a time, so checkpoints are byte-identical to those of
+earlier versions on the same machine.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -73,8 +76,9 @@ def valid_action_mask(field: FieldSpec, state: RobotState, max_rows: int) -> np.
 
 
 class QNetwork:
-    """Fully-connected ReLU network with explicit forward and backward passes;
-    its layer sizes and dtype are those of its weight and bias arrays."""
+    """Fully-connected ReLU network with explicit forward and backward passes.
+    Its parameters are one vector, ``params``, of every weight then every bias;
+    ``weights`` and ``biases`` are views of it that give the layer sizes and dtype."""
 
     def __init__(
         self,
@@ -86,11 +90,19 @@ class QNetwork:
         if rng is None:
             rng = np.random.default_rng(0)
         sizes = (OBS_DIM, *hidden_sizes, output_dim)
-        self.weights = [
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).astype(dtype)
-            for fan_in, fan_out in zip(sizes, sizes[1:])
-        ]
-        self.biases = [np.zeros(fan_out, dtype=dtype) for fan_out in sizes[1:]]
+        self._shapes = [*zip(sizes, sizes[1:]), *((fan_out,) for fan_out in sizes[1:])]
+        self.params = np.zeros(sum(map(math.prod, self._shapes)), dtype=dtype)
+        self.weights, self.biases = self.split(self.params)
+        for W in self.weights:
+            W[...] = rng.normal(0.0, np.sqrt(2.0 / W.shape[0]), size=W.shape)
+
+    def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Views of a vector laid out like ``params``: (weights, biases)."""
+        views, stop = [], 0
+        for shape in self._shapes:
+            start, stop = stop, stop + math.prod(shape)
+            views.append(flat[start:stop].reshape(shape))
+        return views[: len(views) // 2], views[len(views) // 2 :]
 
     @property
     def output_dim(self) -> int:
@@ -105,7 +117,7 @@ class QNetwork:
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping layer activations for backprop."""
-        acts = [np.asarray(x, dtype=self.weights[0].dtype)]
+        acts = [np.asarray(x, dtype=self.params.dtype)]
         h = acts[0]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ W
@@ -115,18 +127,14 @@ class QNetwork:
         out = h @ self.weights[-1] + self.biases[-1]
         return out, acts
 
-    def backward(self, acts: list[np.ndarray], dout: np.ndarray, dW_out=None):
-        """Gradients of a scalar loss given d(loss)/d(output).
-
-        Returns (dweights, dbiases) matching the layer lists, the weight
-        gradients in ``dW_out`` (arrays shaped like the weights) if given.
-        """
-        dW = list(dW_out or [None] * len(self.weights))
-        db = [np.empty(0)] * len(self.biases)
-        delta = np.asarray(dout, dtype=self.weights[0].dtype)
+    def backward(self, acts: list[np.ndarray], dout: np.ndarray, grad=None):
+        """Gradients of a scalar loss given d(loss)/d(output), written into
+        ``grad`` (laid out like ``params``; new if None); returns its views."""
+        dW, db = self.split(np.empty_like(self.params) if grad is None else grad)
+        delta = np.asarray(dout, dtype=self.params.dtype)
         for i in range(len(self.weights) - 1, -1, -1):
-            dW[i] = np.matmul(acts[i].T, delta, out=dW[i])
-            db[i] = delta.sum(axis=0)
+            np.matmul(acts[i].T, delta, out=dW[i])
+            np.sum(delta, axis=0, out=db[i])
             if i > 0:
                 delta = delta @ self.weights[i].T
                 np.multiply(delta, acts[i] > 0, out=delta)
@@ -136,81 +144,78 @@ class QNetwork:
     def from_parameters(
         cls, weights: list[np.ndarray], biases: list[np.ndarray]
     ) -> QNetwork:
-        """Network over the given layer arrays, which it takes without copying."""
+        """Network over a copy of the given layer arrays."""
         net = cls.__new__(cls)
-        net.weights, net.biases = list(weights), list(biases)
+        net._shapes = [p.shape for p in (*weights, *biases)]
+        net.params = np.concatenate([p.ravel() for p in (*weights, *biases)])
+        net.weights, net.biases = net.split(net.params)
         return net
 
     def copy(self) -> QNetwork:
-        return QNetwork.from_parameters(
-            [W.copy() for W in self.weights], [b.copy() for b in self.biases]
-        )
+        return QNetwork.from_parameters(self.weights, self.biases)
 
     def load_from(self, other: QNetwork) -> None:
         """Bitwise parameter copy (target-network sync)."""
-        for mine, theirs in zip(self.weights, other.weights):
-            np.copyto(mine, theirs)
-        for mine, theirs in zip(self.biases, other.biases):
-            np.copyto(mine, theirs)
+        np.copyto(self.params, other.params)
 
 
 def bellman_loss_and_grads(
-    net: QNetwork, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray, dW_out=None
+    net: QNetwork, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray, grad=None
 ):
     """Mean squared TD error over a batch, with gradients for every parameter
-    (the weights' in ``dW_out`` when it is given, as in :meth:`QNetwork.backward`)."""
+    (written into ``grad`` when it is given, as in :meth:`QNetwork.backward`)."""
     q, acts = net.forward_cached(obs)
     rows = np.arange(q.shape[0])
     err = q[rows, actions] - np.asarray(targets, dtype=q.dtype)
     loss = float(np.mean(err**2))
     q.fill(0.0)  # q is spent; its array becomes d(loss)/dq
     q[rows, actions] = 2.0 * err / q.shape[0]
-    dW, db = net.backward(acts, q, dW_out)
+    dW, db = net.backward(acts, q, grad)
     return loss, dW, db
 
 
 class Adam:
-    """Adam optimizer over a QNetwork's weights then biases, with the fixed
-    ADAM_* moment rates.  Next to the moments it keeps the arrays a training
-    update writes into: two scratch arrays per parameter for its step, a
-    float64 one per parameter for the squares :func:`clip_gradients` sums,
-    and one per weight for its gradient.  Gradients have the parameters' dtype.
-    Every 32 updates, first moments below the dtype's smallest normal become 0."""
+    """Adam optimizer over a QNetwork's parameter vector, with the fixed
+    ADAM_* moment rates.  Next to the moments it keeps the vectors an update
+    writes into, laid out like ``params``: the gradient, two scratch vectors
+    for its step, and the float64 squares :func:`clip_gradients` sums through
+    per-parameter views.  Every 32 updates, first moments below the dtype's
+    smallest normal become 0."""
 
     def __init__(self, net: QNetwork, lr: float) -> None:
         self.lr = lr
         self.t = 0
-        params = net.weights + net.biases
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-        self.squares = [np.empty(p.shape, dtype=np.float64) for p in params]
-        self.grads = [np.empty_like(W) for W in net.weights]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
+        self.grad = np.empty_like(net.params)
+        self.scratch = (np.empty_like(net.params), np.empty_like(net.params))
+        square_weights, square_biases = net.split(np.empty(net.params.size, dtype=np.float64))
+        self.squares = square_weights + square_biases
 
-    def step(self, net: QNetwork, dW: list[np.ndarray], db: list[np.ndarray]) -> None:
+    def step(self, net: QNetwork, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        params = net.weights + net.biases
-        for p, g, m, v, (s, u) in zip(params, dW + db, self.m, self.v, self.scratch):
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
-            v *= ADAM_BETA2
-            v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=s), out=s)
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
-            np.multiply(self.lr, np.divide(m, bc1, out=s), out=s)
-            np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAM_EPS, out=u)
-            p -= np.divide(s, u, out=s)
-            if self.t % 32 == 0:  # dead units' m decays through slow subnormals
-                np.copyto(m, 0.0, where=np.abs(m, out=s) < np.finfo(m.dtype).tiny)
+        m, v, (s, u) = self.m, self.v, self.scratch
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.square(grad, out=s), out=s)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+        np.multiply(self.lr, np.divide(m, bc1, out=s), out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAM_EPS, out=u)
+        net.params -= np.divide(s, u, out=s)
+        if self.t % 32 == 0:  # dead units' m decays through slow subnormals
+            np.copyto(m, 0.0, where=np.abs(m, out=s) < np.finfo(m.dtype).tiny)
 
 
 def clip_gradients(
     dW: list[np.ndarray], db: list[np.ndarray], max_norm: float, squares=None
 ) -> float:
     """Scale gradients so their global L2 norm is at most max_norm (> 0);
-    returns the norm.  ``squares`` (float64 arrays shaped like ``(*dW, *db)``,
-    such as ``Adam.squares``) takes the squared gradients, else they are new."""
+    returns the norm.  The squares are summed one parameter at a time in
+    ``(*dW, *db)`` order, into ``squares`` (float64 arrays shaped like
+    ``(*dW, *db)``, such as ``Adam.squares``) when given, else new arrays."""
     total = 0.0
     for g, sq in zip((*dW, *db), squares or [None] * (len(dW) + len(db))):
         total += float(np.sum(np.square(g, dtype=np.float64, out=sq)))
@@ -348,9 +353,9 @@ def train_step(
         return None
     obs, actions, rewards, next_obs, dones, next_masks = buffer.sample(BATCH_SIZE, rng)
     targets = td_targets(target_net, rewards, next_obs, dones, next_masks, cfg.gamma)
-    loss, dW, db = bellman_loss_and_grads(net, obs, actions, targets, optimizer.grads)
+    loss, dW, db = bellman_loss_and_grads(net, obs, actions, targets, optimizer.grad)
     clip_gradients(dW, db, GRAD_CLIP_NORM, optimizer.squares)
-    optimizer.step(net, dW, db)
+    optimizer.step(net, optimizer.grad)
     return loss
 
 
@@ -504,7 +509,8 @@ def save_checkpoint(
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"W{i}"] = W
         arrays[f"b{i}"] = b
-    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+    with open(path, "wb") as fh:  # np.savez would add .npz to a bare path
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path) -> tuple[QNetwork, dict]:

@@ -91,13 +91,6 @@ class WaypointPath:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def length_m(self) -> float:
-        return sum(
-            math.hypot(b.x_m - a.x_m, b.y_m - a.y_m)
-            for a, b in zip(self.points, self.points[1:])
-        )
-
 
 def metric_x(corridor_x: float, geometry: FieldGeometry) -> float:
     return corridor_x * geometry.row_spacing_m

@@ -344,16 +344,17 @@ class TestTrain:
         assert code == 0
         assert (tmp_path / "m2.npz.log.csv").read_text() == log_path.read_text()
 
-    def test_trained_model_usable_by_plan(self, capsys, tmp_path):
-        out_path = tmp_path / "m.npz"
-        assert run_cli(
+    @pytest.mark.parametrize("name", ["m.npz", "m"])
+    def test_trained_model_usable_by_plan(self, capsys, tmp_path, name):
+        code, printed, _ = run_cli(
             capsys,
             "train", "--stages", "3", "--steps", "250", "--len", "4",
-            "--seed", "5", "--out", str(out_path),
-        )[0] == 0
+            "--seed", "5", "--out", str(tmp_path / name),
+        )
+        assert code == 0
         code, out, _ = run_cli(
             capsys,
-            "plan", "--planner", "dqn", "--model", str(out_path),
+            "plan", "--planner", "dqn", "--model", printed.strip(),
             "--rows", "3", "--len", "4", "--start", "0.5,1,0", "--goal", "1,3",
         )
         # an untrained policy may fail to reach the goal, but never crashes

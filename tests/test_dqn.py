@@ -393,8 +393,25 @@ class TestUpdatePath:
                 ref_target.load_from(ref)
         assert 0 < clipped < 200  # both branches of the clip ran
         assert same_bits(net.weights + net.biases, ref.weights + ref.biases)
-        assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
+        assert same_bits(sum(net.split(opt.m), []), ref_opt.m)
+        assert same_bits(sum(net.split(opt.v), []), ref_opt.v)
         assert opt.t == ref_opt.t == 200
+
+    def test_parameters_are_one_vector_of_weights_then_biases(self):
+        net = QNetwork(8, (48, 40), np.random.default_rng(61))
+        layers = net.weights + net.biases
+        net.params[:] = np.arange(net.params.size)
+        assert net.params.ndim == 1
+        assert same_bits([np.concatenate([p.ravel() for p in layers])], [net.params])
+        assert all(np.shares_memory(p, net.params) for p in layers)
+        other = np.arange(net.params.size, dtype=np.float64)
+        assert same_bits(sum(net.split(other), []), [p.astype(np.float64) for p in layers])
+        copy = QNetwork.from_parameters(net.weights, net.biases)
+        assert same_bits(copy.weights + copy.biases, layers)
+        assert not np.shares_memory(copy.params, net.params)
+        opt = Adam(net, 1e-3)
+        for x in (*opt.scratch, *opt.squares, opt.grad, opt.m, opt.v):
+            assert not np.shares_memory(x, net.params)
 
     def test_forward_and_backward_match_the_reference(self):
         net = QNetwork(8, (48, 40), np.random.default_rng(5))
@@ -414,7 +431,7 @@ class TestUpdatePath:
         def grads(net, opt, buf, rng):
             obs, actions, rewards, next_obs, dones, masks = buf.sample(BATCH_SIZE, rng)
             targets = td_targets(net, rewards, next_obs, dones, masks, cfg.gamma)
-            return bellman_loss_and_grads(net, obs, actions, targets, opt.grads)[1:]
+            return bellman_loss_and_grads(net, obs, actions, targets, opt.grad)[1:]
 
         def start(name):
             net = base.copy()
@@ -426,7 +443,7 @@ class TestUpdatePath:
             for _ in range(60):
                 dW, db = grads(net, opt, data[name][0], rng)
                 clip_gradients(dW, db, GRAD_CLIP_NORM, opt.squares)
-                opt.step(net, dW, db)
+                opt.step(net, opt.grad)
             alone[name] = (net, opt)
 
         runs = {name: start(name) for name in data}
@@ -436,14 +453,14 @@ class TestUpdatePath:
             for name, (_, opt, _) in runs.items():
                 clip_gradients(*g[name], GRAD_CLIP_NORM, opt.squares)
             for name, (net, opt, _) in runs.items():
-                opt.step(net, *g[name])
+                opt.step(net, opt.grad)
         for name, (net, opt, _) in runs.items():
             ref_net, ref_opt = alone[name]
             assert same_bits(net.weights + net.biases, ref_net.weights + ref_net.biases)
-            assert same_bits(opt.m + opt.v, ref_opt.m + ref_opt.v)
+            assert same_bits([opt.m, opt.v], [ref_opt.m, ref_opt.v])
         a, b = runs["a"][1], runs["b"][1]
-        for x in (*sum(a.scratch, ()), *a.squares, *a.grads, *a.m, *a.v):
-            for y in (*sum(b.scratch, ()), *b.squares, *b.grads, *b.m, *b.v):
+        for x in (*a.scratch, *a.squares, a.grad, a.m, a.v):
+            for y in (*b.scratch, *b.squares, b.grad, b.m, b.v):
                 assert not np.shares_memory(x, y)
 
     def test_clip_below_its_bound_leaves_gradients_bit_unchanged(self):
@@ -464,19 +481,20 @@ class TestUpdatePath:
         opt, ref_opt = Adam(net, 1e-3), RefAdam(ref, 1e-3)
         tiny = np.finfo(np.float32).tiny
         # after 32 updates at 0.9 the first is still subnormal, the second normal
-        opt.m[0].flat[:2] = ref_opt.m[0].flat[:2] = tiny / 2**10, tiny * 2**6
+        opt.m[:2] = ref_opt.m[0].flat[:2] = tiny / 2**10, tiny * 2**6
         rng = np.random.default_rng(52)
         for t in range(1, 33):
             grads = [rng.normal(size=p.shape).astype(np.float32) for p in net.weights + net.biases]
             grads[0].flat[:2] = 0.0  # dead units' weights
             dW, db = grads[: len(net.weights)], grads[len(net.weights) :]
-            opt.step(net, dW, db)
+            opt.step(net, np.concatenate([g.ravel() for g in grads]))
             ref_opt.step(ref, dW, db)
             assert 0 < ref_opt.m[0].flat[0] < tiny <= ref_opt.m[0].flat[1]
-            assert opt.m[0].flat[0] == (0.0 if t == 32 else ref_opt.m[0].flat[0])
+            assert opt.m[0] == (0.0 if t == 32 else ref_opt.m[0].flat[0])
             ref_m0 = ref_opt.m[0].copy()
-            ref_m0.flat[0] = opt.m[0].flat[0]
-            assert same_bits([ref_m0, *ref_opt.m[1:]], opt.m) and same_bits(opt.v, ref_opt.v)
+            ref_m0.flat[0] = opt.m[0]
+            assert same_bits([ref_m0, *ref_opt.m[1:]], sum(net.split(opt.m), []))
+            assert same_bits(sum(net.split(opt.v), []), ref_opt.v)
             assert same_bits(net.weights + net.biases, ref.weights + ref.biases)
 
 
