@@ -213,9 +213,8 @@ def clip_gradients(
     dW: list[np.ndarray], db: list[np.ndarray], max_norm: float, squares=None
 ) -> float:
     """Scale gradients so their global L2 norm is at most max_norm (> 0);
-    returns the norm.  The squares are summed one parameter at a time in
-    ``(*dW, *db)`` order, into ``squares`` (float64 arrays shaped like
-    ``(*dW, *db)``, such as ``Adam.squares``) when given, else new arrays."""
+    returns the norm.  ``squares`` (float64 arrays shaped like ``(*dW, *db)``,
+    such as ``Adam.squares``) takes the squared gradients, else they are new."""
     total = 0.0
     for g, sq in zip((*dW, *db), squares or [None] * (len(dW) + len(db))):
         total += float(np.sum(np.square(g, dtype=np.float64, out=sq)))
