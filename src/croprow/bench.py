@@ -144,11 +144,11 @@ def run_benchmark(
 
 
 def summarize(records: list[BenchmarkRecord]) -> dict[str, dict]:
-    """The benchmark.json document: per planner, keyed by name and ordered by
-    first appearance, planning-time mean, median and quartiles (linear
-    interpolation), the count of times beyond 1.5 IQR of the quartiles, the
-    success rate, the mean path length over successful runs (None if there
-    were none), and the mean count of nodes the planner expanded."""
+    """The benchmark.json document: per planner, keyed and ordered by name,
+    planning-time mean, median and quartiles (linear interpolation), the
+    count of times beyond 1.5 IQR of the quartiles, the success rate, the
+    mean path length over successful runs (None if there were none), and the
+    mean count of nodes the planner expanded."""
     grouped: dict[str, list[BenchmarkRecord]] = {}
     for record in sorted(records, key=lambda r: (r.instance_id, r.planner_id.value)):
         grouped.setdefault(record.planner_id.value, []).append(record)

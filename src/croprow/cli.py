@@ -237,6 +237,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     stage_rows = _parse_stages(args.stages)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # checked before hours of training
+        raise ValueError(f"--out must name a file in an existing directory, got {args.out!r}")
     stages = [
         CurriculumStage(rows, args.steps, corridor_len=args.len) for rows in stage_rows
     ]

@@ -7,9 +7,9 @@ Two planners produce provably shortest routes:
   corridor) and writes its route down directly, O(path length) with O(1)
   decision work.
 * :func:`plan_astar` searches a compact implicit graph whose nodes are
-  corridor/headland waypoints, held as integer pose ids, with a closed-form
-  Manhattan-style bound and ties broken toward larger g, and counts the
-  nodes it expands.
+  corridor/headland waypoints, held as ``(corridor, y + 1, heading)``
+  tuples, with a closed-form Manhattan-style bound and ties broken toward
+  larger g, and counts the nodes it expands.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the deduplicated macro form used by the deployment
@@ -24,7 +24,6 @@ from enum import Enum
 
 from croprow.world import (
     BACKWARD,
-    DOWN,
     FORWARD,
     UP,
     Action,
@@ -159,11 +158,7 @@ def _heuristic_route(
     )
 
     # approach corridor nearest the start; corridor_x is never equal to row x
-    if start.corridor_x < goal.row:
-        target = RobotState(goal.row - 0.5, goal.goal_y, DOWN)
-    else:
-        target = RobotState(goal.row + 0.5, goal.goal_y, UP)
-    assert target in configs
+    target = min(configs, key=lambda c: abs(c.corridor_x - start.corridor_x))
     return [
         start,
         RobotState(start.corridor_x, edge, start.orientation),
@@ -178,43 +173,26 @@ def plan_heuristic(request: PlanRequest) -> PlanResult:
     return _plan_from_route(route, PlannerId.HEURISTIC)
 
 
-def _astar_successors(node: int, span: int, size: int, direct: dict[int, tuple[int, int]]):
-    """(pose id, cost) of the edges out of ``node``: an interior pose goes to
-    both headlands; a headland pose steps to each neighbouring corridor, flips
-    for free and crosses to the opposite headland; a pose in a goal corridor
-    with the goal's heading also drives straight to the goal."""
-    corridor, y1 = divmod(node >> 1, span)
-    top = span - 1
-    if 0 < y1 < top:
-        out = [(node + ((top - y1) << 1), top - y1), (node - (y1 << 1), y1)]
-    else:
-        out = [(nxt, 1) for nxt in (node - 2 * span, node + 2 * span) if 0 <= nxt < size]
-        out += [(node ^ 1, 0), (node + (top << 1) if y1 == 0 else node - (top << 1), top)]
-    leg = direct.get(corridor << 1 | node & 1)
-    if leg is not None:
-        out.append((leg[0], abs(y1 - leg[1])))
-    return out
-
-
 def _astar_route(
     field: FieldSpec, start: RobotState, goal: GoalSpec
 ) -> tuple[list[RobotState], int]:
     """The route and the count of non-stale heap pops, the goal pop included.
 
-    Nodes are pose ids ``((corridor * span + y + 1) << 1) | orientation`` with
-    ``span = corridor_len + 2``.  Every node pushed after the start is a
-    headland or goal pose, whose distance bound is the corridors to the nearer
-    goal corridor plus the rows to the goal's y.  Ties between equal f pop the
-    larger g first, then the smaller id (Asai & Fukunaga, AAAI 2016)."""
+    Nodes are ``(corridor, y + 1, heading)`` tuples.  An interior pose drives
+    to both headlands; a headland pose steps to each neighbouring corridor,
+    flips for free and crosses to the opposite headland; a pose in a goal
+    corridor with the goal's heading also drives straight to the goal.  Every
+    node pushed after the start is a headland or goal pose, whose distance
+    bound is the corridors to the nearer goal corridor plus the rows to the
+    goal's y.  Ties between equal f pop the larger g first, then the smaller
+    node (Asai & Fukunaga, AAAI 2016)."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
-    span, size = field.corridor_len + 2, 2 * (field.corridor_len + 2) * (field.num_rows - 1)
-    goals = tuple((int(c.corridor_x - 0.5), int(c.y) + 1, c.orientation) for c in configs)
-    direct = {c << 1 | o: (((c * span + y1) << 1) | o, y1) for c, y1, o in goals}
-    targets = {target for target, _ in direct.values()}
-    lo, hi, goal_y1 = min(goals)[0], max(goals)[0], goals[0][1]
-    origin = ((int(start.corridor_x - 0.5) * span + int(start.y) + 1) << 1) | int(start.orientation)
+    top, last, goal_y1 = field.corridor_len + 1, field.num_rows - 2, int(goal.goal_y) + 1
+    legs = {(int(c.corridor_x - 0.5), c.orientation) for c in configs}
+    lo, hi = min(legs)[0], max(legs)[0]
+    origin = (int(start.corridor_x - 0.5), int(start.y) + 1, int(start.orientation))
     best_g, parent = {origin: 0}, {}
     frontier = [(0, 0, origin)]  # (f, -g, node); the start pops first whatever its f
     pops = 0
@@ -224,21 +202,29 @@ def _astar_route(
         if g > best_g[node]:
             continue
         pops += 1
-        if node in targets:
+        corridor, y1, heading = node
+        leg = (corridor, heading) in legs
+        if leg and y1 == goal_y1:
             path = []
             while node != origin:
-                corridor, y1 = divmod(node >> 1, span)
-                path.append(RobotState(corridor + 0.5, y1 - 1, node & 1))
+                path.append(RobotState(node[0] + 0.5, node[1] - 1, node[2]))
                 node = parent[node]
             return [start, *reversed(path)], pops
-        for succ, cost in _astar_successors(node, span, size, direct):
+        if 0 < y1 < top:
+            edges = [(corridor, top, heading, top - y1), (corridor, 0, heading, y1)]
+        else:
+            edges = [(c, y1, heading, 1) for c in (corridor - 1, corridor + 1) if 0 <= c <= last]
+            edges += [(corridor, y1, heading ^ 1, 0), (corridor, top - y1, heading, top)]
+        if leg:
+            edges.append((corridor, goal_y1, heading, abs(y1 - goal_y1)))
+        for c, y, h, cost in edges:
             ng = g + cost
+            succ = (c, y, h)
             if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
                 parent[succ] = node
-                corridor, y1 = divmod(succ >> 1, span)
-                h = max(lo - corridor, corridor - hi, 0) + abs(y1 - goal_y1)
-                heapq.heappush(frontier, (ng + h, -ng, succ))
+                f = ng + max(lo - c, c - hi, 0) + abs(y - goal_y1)
+                heapq.heappush(frontier, (f, -ng, succ))
     raise RuntimeError("search space exhausted without reaching the goal")
 
 

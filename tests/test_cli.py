@@ -361,6 +361,21 @@ class TestTrain:
         assert code in (0, 2)
         assert "macro" in out
 
+    @pytest.mark.parametrize("out", ["missing/m", "."])
+    def test_unwritable_out_exits_1_before_training(self, capsys, tmp_path, monkeypatch, out):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_curriculum called")
+
+        monkeypatch.setattr(cli, "run_curriculum", no_training)
+        code, _, err = run_cli(
+            capsys,
+            "train", "--stages", "3", "--steps", "10", "--len", "4",
+            "--out", str(tmp_path / out),
+        )
+        assert code == 1
+        assert "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_with_bad_shapes_exits_1(self, capsys, tmp_path):
         net = QNetwork(10, (8,))
         net.weights[1] = net.weights[1][:4]  # meta still says 8 hidden units

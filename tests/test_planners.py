@@ -4,6 +4,7 @@ exhaustive and randomized optimality checks against the motion oracle."""
 from __future__ import annotations
 
 import hashlib
+import inspect
 from operator import attrgetter
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from croprow import planners
 from croprow.planners import (
     PlanRequest,
     PlannerId,
@@ -277,6 +279,25 @@ def test_purity(request):
     assert first.raw_actions == second.raw_actions
     assert first.path_length == second.path_length
     assert plan_astar(request).raw_actions == plan_astar(request).raw_actions
+
+
+def test_planners_share_no_code_with_the_oracle():
+    """The oracle judges the planners, so no planner function, nested ones
+    included, may read its pose encoding, distance field or sentinel."""
+    oracle_names = {"_pose_id", "_distance_field", "oracle_shortest", "_UNREACHED"}
+    members = [*vars(planners).values()]
+    members += [m for c in members if isinstance(c, type) for m in vars(c).values()]
+    stack = [
+        f.__code__ for f in members
+        if inspect.isfunction(f) and f.__module__ == planners.__name__
+    ]
+    seen = set()
+    while stack:
+        code = stack.pop()
+        seen.add(code.co_name)
+        assert not oracle_names & set(code.co_names), code.co_name
+        stack += [c for c in code.co_consts if inspect.iscode(c)]
+    assert {"_astar_route", "_heuristic_route", "<lambda>"} <= seen
 
 
 def _digest(items) -> str:
