@@ -217,9 +217,9 @@ def _astar_route(
             edges += [(corridor, y1, heading ^ 1, 0), (corridor, top - y1, heading, top)]
         if leg:
             edges.append((corridor, goal_y1, heading, abs(y1 - goal_y1)))
-        for c, y, h, cost in edges:
+        for c, y, o, cost in edges:
             ng = g + cost
-            succ = (c, y, h)
+            succ = (c, y, o)
             if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
                 parent[succ] = node
