@@ -9,6 +9,7 @@ Action sequences on the wire use the bracketed form [[orientation,move],...].
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -70,18 +71,23 @@ def _brackets(actions) -> str:
     return json.dumps([[a.orientation, a.move] for a in actions], separators=(",", ":"))
 
 
-def _parse_state(text: str) -> RobotState:
+def _parse_fields(flag: str, text: str, kinds: dict[str, type]) -> list:
+    """A flag's comma-separated fields; an error names the flag and the field."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"start must be x,y,orientation, got {text!r}")
-    return RobotState(float(parts[0]), int(parts[1]), int(parts[2]))
+    if len(parts) != len(kinds):
+        raise ValueError(f"{flag} must be {','.join(kinds)}, got {text!r}")
+    values = []
+    for (name, kind), part in zip(kinds.items(), parts):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            raise ValueError(f"{flag} {name}: {kind.__name__} expected, got {part!r}") from None
+    return values
 
 
-def _parse_goal(text: str) -> GoalSpec:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"goal must be row,y, got {text!r}")
-    return GoalSpec(int(parts[0]), int(parts[1]))
+def _parse_start_goal(args: argparse.Namespace) -> tuple[RobotState, GoalSpec]:
+    start = _parse_fields("--start", args.start, {"x": float, "y": int, "orientation": int})
+    return RobotState(*start), GoalSpec(*_parse_fields("--goal", args.goal, {"row": int, "y": int}))
 
 
 def _is_int(value) -> bool:
@@ -163,7 +169,8 @@ def _build_planners(names: list[str], model_path: str | None) -> list[Planner]:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     field = FieldSpec(args.rows, args.len)
-    request = PlanRequest(field, _parse_state(args.start), _parse_goal(args.goal))
+    start, goal = _parse_start_goal(args)
+    request = PlanRequest(field, start, goal)
     result, elapsed_ns = timed_call(_build_planners([args.planner], args.model)[0], request)
     if args.format == "json":
         doc = {
@@ -275,8 +282,7 @@ def _render(field: FieldSpec, state: RobotState, goal: GoalSpec) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     field = FieldSpec(args.rows, args.len)
-    start = _parse_state(args.start)
-    goal = _parse_goal(args.goal)
+    start, goal = _parse_start_goal(args)
     actions = _parse_actions(args.actions)
     result = simulate(field, start, goal, actions)
     if args.format == "json":
@@ -350,6 +356,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then reused
 def build_parser() -> _Parser:
     parser = _Parser(prog="croprow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -407,9 +414,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     _echo_config(args)

@@ -699,6 +699,50 @@ def test_non_finite_start_exits_1(capsys, command, start):
     assert "not a corridor centerline" in err
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--start", "0.5,3.0,0", "--start y: int expected, got '3.0'"),
+        ("--start", "east,3,0", "--start x: float expected, got 'east'"),
+        ("--goal", "2,4.0", "--goal y: int expected, got '4.0'"),
+        ("--goal", "x,4", "--goal row: int expected, got 'x'"),
+    ],
+)
+def test_unparsable_field_names_flag_and_field(capsys, command, flag, value, message):
+    extra = ["--planner", "astar"] if command == "plan" else ["--actions", "[]"]
+    where = ["--rows", "4", "--len", "5", "--start", "0.5,3,0", "--goal", "2,4"]
+    where[where.index(flag) + 1] = value
+    code, out, err = run_cli(capsys, command, *extra, *where)
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
+    assert "Traceback" not in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["plan", "--planner", "astar", *WHERE, "--format", "json"],
+         ["plan", "--planner", "astar", *WHERE]),
+        (["simulate", *WHERE, "--actions", "[[0,0],[0,0],[0,0],[1,0]]", "--format", "json"],
+         ["simulate", *WHERE, "--actions", "[[0,0],[0,0],[0,0],[1,0]]"]),
+    ],
+)
+def test_back_to_back_calls_share_no_values(capsys, first, second):
+    # the parser is built once per process; each call parses afresh
+    code, out, _ = run_cli(capsys, *first)
+    assert code == 0
+    assert json.loads(out)["success"] is True
+    code, out, err = run_cli(capsys, *second)
+    assert code == 0
+    assert out.split()[0] == {"plan": "macro", "simulate": "start:"}[second[0]]  # text, not JSON
+    assert "format=json" not in err
+    code, out, _ = run_cli(capsys, *first)
+    assert json.loads(out)["success"] is True
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

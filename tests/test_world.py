@@ -2,7 +2,8 @@
 
 Ground truth for the motion oracle is re-derived here with an independent
 uniform-cost search driven by step() itself, so the two implementations
-cross-validate each other.
+cross-validate each other.  The oracle's distance fields are also checked,
+pose by pose, against a one-pose-at-a-time 0-1 BFS over the same graph.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from array import array
+from collections import deque
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from croprow.world import (
     GoalSpec,
     IllegalActionError,
     RobotState,
+    _UNREACHED,
     _distance_field,
+    _pose_id,
     at_headland,
     check_state,
     goal_configs,
@@ -86,6 +91,33 @@ def env_shortest(field, start, goal):
                 tick += 1
                 heapq.heappush(frontier, (nd, tick, out.next_state))
     raise AssertionError("unreachable goal in reference search")
+
+
+def bfs_distance_field(field, goal):
+    """Reference distance field: one multi-source 0-1 BFS (Dial 1969, two
+    buckets) from the terminal configurations, one pose id at a time."""
+    span = field.corridor_len + 2
+    size, last, lateral = (field.num_rows - 1) * span * 2, span - 1, 2 * span
+    dist = array("i", [_UNREACHED]) * size
+    queue = deque(_pose_id(field, config) for config in goal_configs(field, goal))
+    for pose in queue:
+        dist[pose] = 0
+    while queue:
+        pose = queue.popleft()
+        y1 = (pose >> 1) % span
+        if 0 < y1 < last:
+            moves = (pose - 2, pose + 2)
+        else:  # headland: one vertical move, lateral steps and a free flip
+            if dist[pose] < dist[pose ^ 1]:
+                dist[pose ^ 1] = dist[pose]
+                queue.appendleft(pose ^ 1)
+            moves = (pose + 2 if y1 == 0 else pose - 2, pose - lateral, pose + lateral)
+        d = dist[pose] + 1
+        for nxt in moves:
+            if 0 <= nxt < size and d < dist[nxt]:
+                dist[nxt] = d
+                queue.append(nxt)
+    return dist
 
 
 small_fields = st.builds(
@@ -331,6 +363,27 @@ class TestOracle:
                         goal = GoalSpec(row, gy)
                         want, _ = env_shortest(field, start, goal)
                         assert oracle_shortest(field, start, goal) == want
+
+    @pytest.mark.parametrize(
+        "rows, length, goals",
+        [
+            (65, 10, None),
+            (1000, 10, 6),
+            (2, 1, None),
+            (2, _distance_field.cache_info().maxsize // 2 + 1, None),  # the memo-bound field
+        ],
+    )
+    def test_field_equals_reference_bfs_on_every_pose(self, rows, length, goals):
+        field = FieldSpec(rows, length)
+        if goals is None:  # every goal of the field
+            goals = [GoalSpec(row, gy) for row in range(rows) for gy in range(length)]
+        else:
+            rng = np.random.default_rng(15)
+            goals = [sample_goal(field, rng) for _ in range(goals)]
+        for goal in goals:
+            field_array = _distance_field.__wrapped__(field, goal)  # leaves the memo alone
+            assert field_array.typecode == "i"
+            assert field_array == bfs_distance_field(field, goal), goal
 
     @pytest.mark.parametrize(
         "start, goal, message",
