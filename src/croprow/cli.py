@@ -71,18 +71,21 @@ def _brackets(actions) -> str:
     return json.dumps([[a.orientation, a.move] for a in actions], separators=(",", ":"))
 
 
+def _convert(kind: type, text: str, where: str):
+    """kind(text); an error names where the text came from."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: {kind.__name__} expected, got {text!r}") from None
+
+
 def _parse_fields(flag: str, text: str, kinds: dict[str, type]) -> list:
     """A flag's comma-separated fields; an error names the flag and the field."""
     parts = text.split(",")
     if len(parts) != len(kinds):
         raise ValueError(f"{flag} must be {','.join(kinds)}, got {text!r}")
-    values = []
-    for (name, kind), part in zip(kinds.items(), parts):
-        try:
-            values.append(kind(part))
-        except ValueError:
-            raise ValueError(f"{flag} {name}: {kind.__name__} expected, got {part!r}") from None
-    return values
+    fields = zip(kinds.items(), parts)
+    return [_convert(kind, part, f"{flag} {name}") for (name, kind), part in fields]
 
 
 def _parse_start_goal(args: argparse.Namespace) -> tuple[RobotState, GoalSpec]:
@@ -121,23 +124,24 @@ def _count(text: str) -> int:
 
 
 def _parse_stages(text: str) -> list[int]:
-    """Either a single width ("5") or a range with step ("5..65:5")."""
+    """--stages: either a single width ("5") or a range with step ("5..65:5")."""
     if ".." not in text:
-        return [int(text)]
+        return [_convert(int, text, "--stages")]
     first_text, _, rest = text.partition("..")
     last_text, _, step_text = rest.partition(":")
     if not step_text:
-        raise ValueError(f"stage range needs a step, e.g. 5..65:5, got {text!r}")
-    first, last, step = int(first_text), int(last_text), int(step_text)
+        raise ValueError(f"--stages range needs a step, e.g. 5..65:5, got {text!r}")
+    first, last, step = (_convert(int, t, "--stages") for t in (first_text, last_text, step_text))
     if step <= 0 or last < first:
-        raise ValueError(f"bad stage range {text!r}")
+        raise ValueError(f"--stages: bad range {text!r}")
     return list(range(first, last + 1, step))
 
 
 def _parse_sizes(text: str) -> list[int]:
-    sizes = [int(part) for part in text.split(",") if part]
+    """--scaling: ascending comma-separated sizes."""
+    sizes = [_convert(int, part, "--scaling") for part in text.split(",") if part]
     if not sizes or sorted(sizes) != sizes:
-        raise ValueError(f"sizes must be ascending, got {text!r}")
+        raise ValueError(f"--scaling sizes must be ascending, got {text!r}")
     return sizes
 
 
@@ -423,6 +427,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         _log(f"error: {exc}")
+        return 1
+    except MemoryError as exc:  # a size too large for this machine
+        _log(f"error: {str(exc) or 'out of memory'}")
         return 1
 
 

@@ -8,10 +8,10 @@ headland, mask invalid entries to -inf during both action selection and
 Bellman backups.  Forward, backward, and the Adam update are written out
 here so the training loop has no dependencies beyond numpy.  The parameters
 are one flat vector that the layer arrays view.  An update writes into
-vectors of that layout with ``out=`` ufuncs, doing Kingma & Ba's Adam
-arithmetic in its written order over the whole vector, and sums the gradient
-norm one parameter at a time, so checkpoints are byte-identical to those of
-earlier versions on the same machine.
+vectors of that layout with ``out=`` ufuncs, takes the gradient's global norm
+as one dot product in its dtype, and does Kingma & Ba's Adam arithmetic in
+its written order over the whole vector, so one command writes byte-identical
+checkpoints on the same machine.
 """
 
 from __future__ import annotations
@@ -177,9 +177,8 @@ def bellman_loss_and_grads(
 class Adam:
     """Adam optimizer over a QNetwork's parameter vector, with the fixed
     ADAM_* moment rates.  Next to the moments it keeps the vectors an update
-    writes into, laid out like ``params``: the gradient, two scratch vectors
-    for its step, and the float64 squares :func:`clip_gradients` sums through
-    per-parameter views.  Every 32 updates, first moments below the dtype's
+    writes into, laid out like ``params``: the gradient and two scratch
+    vectors for its step.  Every 32 updates, first moments below the dtype's
     smallest normal become 0."""
 
     def __init__(self, net: QNetwork, lr: float) -> None:
@@ -189,8 +188,6 @@ class Adam:
         self.v = np.zeros_like(net.params)
         self.grad = np.empty_like(net.params)
         self.scratch = (np.empty_like(net.params), np.empty_like(net.params))
-        square_weights, square_biases = net.split(np.empty(net.params.size, dtype=np.float64))
-        self.squares = square_weights + square_biases
 
     def step(self, net: QNetwork, grad: np.ndarray) -> None:
         self.t += 1
@@ -209,20 +206,13 @@ class Adam:
             np.copyto(m, 0.0, where=np.abs(m, out=s) < np.finfo(m.dtype).tiny)
 
 
-def clip_gradients(
-    dW: list[np.ndarray], db: list[np.ndarray], max_norm: float, squares=None
-) -> float:
-    """Scale gradients so their global L2 norm is at most max_norm (> 0);
-    returns the norm.  ``squares`` (float64 arrays shaped like ``(*dW, *db)``,
-    such as ``Adam.squares``) takes the squared gradients, else they are new."""
-    total = 0.0
-    for g, sq in zip((*dW, *db), squares or [None] * (len(dW) + len(db))):
-        total += float(np.sum(np.square(g, dtype=np.float64, out=sq)))
-    norm = float(np.sqrt(total))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale a flat gradient in place so its L2 norm is at most max_norm (> 0);
+    returns the norm, one dot product in the gradient's dtype (in float32 a
+    norm above about 1.8e19 overflows to inf and the gradient becomes 0)."""
+    norm = math.sqrt(float(np.dot(grad, grad)))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in (*dW, *db):
-            g *= scale
+        grad *= max_norm / norm
     return norm
 
 
@@ -352,8 +342,8 @@ def train_step(
         return None
     obs, actions, rewards, next_obs, dones, next_masks = buffer.sample(BATCH_SIZE, rng)
     targets = td_targets(target_net, rewards, next_obs, dones, next_masks, cfg.gamma)
-    loss, dW, db = bellman_loss_and_grads(net, obs, actions, targets, optimizer.grad)
-    clip_gradients(dW, db, GRAD_CLIP_NORM, optimizer.squares)
+    loss = bellman_loss_and_grads(net, obs, actions, targets, optimizer.grad)[0]
+    clip_gradients(optimizer.grad, GRAD_CLIP_NORM)
     optimizer.step(net, optimizer.grad)
     return loss
 

@@ -721,6 +721,53 @@ def test_unparsable_field_names_flag_and_field(capsys, command, flag, value, mes
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--stages", "3.0", "--steps", "5", "--out", "m.npz"],
+         "--stages: int expected, got '3.0'"),
+        (["train", "--stages", "5..x:5", "--steps", "5", "--out", "m.npz"],
+         "--stages: int expected, got 'x'"),
+        (["bench", "--planners", "heuristic", "--scaling", "10,6.5", "--n", "2"],
+         "--scaling: int expected, got '6.5'"),
+    ],
+)
+def test_unparsable_list_names_flag(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
+    assert "Traceback" not in err and "invalid literal" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "reason, line",
+    [
+        ("Unable to allocate 7.46 TiB", "error: Unable to allocate 7.46 TiB"),
+        ("", "error: out of memory"),
+    ],
+)
+def test_memory_exhaustion_exits_1_with_one_error_line(
+    capsys, tmp_path, monkeypatch, reason, line
+):
+    # nothing real is allocated: the patched trainer raises as numpy would
+    def exhausted(*args, **kwargs):
+        raise MemoryError(reason)
+
+    monkeypatch.setattr(cli, "run_curriculum", exhausted)
+    code, out, err = run_cli(
+        capsys,
+        "train", "--stages", "1000000000", "--steps", "1", "--out", str(tmp_path / "m.npz"),
+    )
+    assert code == 1
+    assert out == ""
+    assert [e for e in err.splitlines() if "error" in e.lower()] == [line]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "first, second",
     [
         (["plan", "--planner", "astar", *WHERE, "--format", "json"],

@@ -7,6 +7,8 @@ themselves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -241,12 +243,12 @@ class TestTraining:
         assert isinstance(train_step(net, net.copy(), buf, cfg, opt, rng), float)
 
     def test_gradient_clipping(self):
-        dW = [np.full((2, 2), 100.0)]
-        db = [np.full(2, 100.0)]
-        norm = clip_gradients(dW, db, 1.0)
-        assert norm > 1.0
-        total = np.sum(np.square(dW[0])) + np.sum(np.square(db[0]))
-        assert np.sqrt(total) == pytest.approx(1.0)
+        for dtype in (np.float32, np.float64):
+            grad = np.full(6, 100.0, dtype=dtype)
+            norm = clip_gradients(grad, 1.0)
+            assert norm == pytest.approx(100.0 * np.sqrt(6.0))
+            assert grad.dtype == dtype
+            assert np.sqrt(np.sum(np.square(grad, dtype=np.float64))) == pytest.approx(1.0)
 
     def test_target_sync_is_bitwise_and_unaliased(self):
         net = toy_net(1, dtype=np.float32)
@@ -297,10 +299,8 @@ def ref_backward(net: QNetwork, acts, dout):
 
 
 def ref_clip_gradients(dW, db, max_norm: float) -> float:
-    total = 0.0
-    for g in (*dW, *db):
-        total += float(np.sum(np.square(g, dtype=np.float64)))
-    norm = float(np.sqrt(total))
+    flat = np.concatenate([g.ravel() for g in (*dW, *db)])
+    norm = math.sqrt(float(np.dot(flat, flat)))
     if norm > max_norm:
         scale = max_norm / norm
         for g in (*dW, *db):
@@ -410,7 +410,7 @@ class TestUpdatePath:
         assert same_bits(copy.weights + copy.biases, layers)
         assert not np.shares_memory(copy.params, net.params)
         opt = Adam(net, 1e-3)
-        for x in (*opt.scratch, *opt.squares, opt.grad, opt.m, opt.v):
+        for x in (*opt.scratch, opt.grad, opt.m, opt.v):
             assert not np.shares_memory(x, net.params)
 
     def test_forward_and_backward_match_the_reference(self):
@@ -431,7 +431,7 @@ class TestUpdatePath:
         def grads(net, opt, buf, rng):
             obs, actions, rewards, next_obs, dones, masks = buf.sample(BATCH_SIZE, rng)
             targets = td_targets(net, rewards, next_obs, dones, masks, cfg.gamma)
-            return bellman_loss_and_grads(net, obs, actions, targets, opt.grad)[1:]
+            bellman_loss_and_grads(net, obs, actions, targets, opt.grad)
 
         def start(name):
             net = base.copy()
@@ -441,17 +441,18 @@ class TestUpdatePath:
         for name in data:
             net, opt, rng = start(name)
             for _ in range(60):
-                dW, db = grads(net, opt, data[name][0], rng)
-                clip_gradients(dW, db, GRAD_CLIP_NORM, opt.squares)
+                grads(net, opt, data[name][0], rng)
+                clip_gradients(opt.grad, GRAD_CLIP_NORM)
                 opt.step(net, opt.grad)
             alone[name] = (net, opt)
 
         runs = {name: start(name) for name in data}
         for _ in range(60):
             # every stage of one update runs for both before the next stage
-            g = {name: grads(*run[:2], data[name][0], run[2]) for name, run in runs.items()}
-            for name, (_, opt, _) in runs.items():
-                clip_gradients(*g[name], GRAD_CLIP_NORM, opt.squares)
+            for name, run in runs.items():
+                grads(*run[:2], data[name][0], run[2])
+            for _, opt, _ in runs.values():
+                clip_gradients(opt.grad, GRAD_CLIP_NORM)
             for name, (net, opt, _) in runs.items():
                 opt.step(net, opt.grad)
         for name, (net, opt, _) in runs.items():
@@ -459,22 +460,23 @@ class TestUpdatePath:
             assert same_bits(net.weights + net.biases, ref_net.weights + ref_net.biases)
             assert same_bits([opt.m, opt.v], [ref_opt.m, ref_opt.v])
         a, b = runs["a"][1], runs["b"][1]
-        for x in (*a.scratch, *a.squares, a.grad, a.m, a.v):
-            for y in (*b.scratch, *b.squares, b.grad, b.m, b.v):
+        for x in (*a.scratch, a.grad, a.m, a.v):
+            for y in (*b.scratch, b.grad, b.m, b.v):
                 assert not np.shares_memory(x, y)
 
     def test_clip_below_its_bound_leaves_gradients_bit_unchanged(self):
-        net = toy_net(41, dtype=np.float32)
-        obs = np.random.default_rng(8).uniform(0, 1, (BATCH_SIZE, 5))
-        actions = np.arange(BATCH_SIZE) % net.output_dim
-        _, dW, db = bellman_loss_and_grads(net, obs, actions, np.ones(BATCH_SIZE))
-        before = [g.copy() for g in dW + db]
-        total = sum(float(np.sum(np.square(g, dtype=np.float64))) for g in before)
-        reference = float(np.sqrt(total))
-        bound = 2.0 * reference
-        assert clip_gradients(dW, db, bound) == reference
-        assert clip_gradients(dW, db, bound, Adam(net, 1e-3).squares) == reference
-        assert same_bits(dW + db, before)
+        # also at exactly the bound: only a norm above it scales
+        for dtype in (np.float32, np.float64):
+            net = toy_net(41, dtype=dtype)
+            obs = np.random.default_rng(8).uniform(0, 1, (BATCH_SIZE, 5))
+            actions = np.arange(BATCH_SIZE) % net.output_dim
+            grad = np.empty_like(net.params)
+            _, dW, db = bellman_loss_and_grads(net, obs, actions, np.ones(BATCH_SIZE), grad)
+            before = grad.copy()
+            reference = ref_clip_gradients(dW, db, np.inf)
+            for bound in (2.0 * reference, reference):
+                assert clip_gradients(grad, bound) == reference
+                assert same_bits([grad], [before])
 
     def test_adam_zeroes_subnormal_first_moments_at_update_32(self):
         net, ref = toy_net(51, dtype=np.float32), toy_net(51, dtype=np.float32)
