@@ -208,9 +208,11 @@ class Adam:
 
 def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
     """Scale a flat gradient in place so its L2 norm is at most max_norm (> 0);
-    returns the norm, one dot product in the gradient's dtype (in float32 a
-    norm above about 1.8e19 overflows to inf and the gradient becomes 0)."""
+    returns the norm, one dot product in the gradient's dtype, taken again in
+    float64 only when that overflows (in float32, norms above about 1.8e19)."""
     norm = math.sqrt(float(np.dot(grad, grad)))
+    if math.isinf(norm):
+        norm = float(np.linalg.norm(grad.astype(np.float64)))
     if norm > max_norm:
         grad *= max_norm / norm
     return norm

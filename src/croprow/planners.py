@@ -196,8 +196,9 @@ def _astar_route(
     best_g, parent = {origin: 0}, {}
     frontier = [(0, 0, origin)]  # (f, -g, node); the start pops first whatever its f
     pops = 0
+    heappush, heappop = heapq.heappush, heapq.heappop
     while frontier:
-        _, neg_g, node = heapq.heappop(frontier)
+        _, neg_g, node = heappop(frontier)
         g = -neg_g
         if g > best_g[node]:
             continue
@@ -213,8 +214,11 @@ def _astar_route(
         if 0 < y1 < top:
             edges = [(corridor, top, heading, top - y1), (corridor, 0, heading, y1)]
         else:
-            edges = [(c, y1, heading, 1) for c in (corridor - 1, corridor + 1) if 0 <= c <= last]
-            edges += [(corridor, y1, heading ^ 1, 0), (corridor, top - y1, heading, top)]
+            edges = [(corridor, y1, heading ^ 1, 0), (corridor, top - y1, heading, top)]
+            if corridor > 0:
+                edges.append((corridor - 1, y1, heading, 1))
+            if corridor < last:
+                edges.append((corridor + 1, y1, heading, 1))
         if leg:
             edges.append((corridor, goal_y1, heading, abs(y1 - goal_y1)))
         for c, y, o, cost in edges:
@@ -223,8 +227,8 @@ def _astar_route(
             if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
                 parent[succ] = node
-                f = ng + max(lo - c, c - hi, 0) + abs(y - goal_y1)
-                heapq.heappush(frontier, (f, -ng, succ))
+                f = ng + (lo - c if c < lo else c - hi if c > hi else 0) + abs(y - goal_y1)
+                heappush(frontier, (f, -ng, succ))
     raise RuntimeError("search space exhausted without reaching the goal")
 
 

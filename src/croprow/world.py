@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,26 +63,26 @@ class FieldSpec:
         object.__setattr__(self, "max_steps", max(10 * (self.corridor_len + 2), floor))
 
 
-@dataclass(frozen=True)
-class RobotState:
-    """Robot pose: corridor centerline x, discrete y, heading along the corridor."""
+class RobotState(NamedTuple):
+    """Robot pose: corridor centerline x, discrete y, heading along the corridor;
+    a named tuple, so ``RobotState(0.5, 2, 1) == (0.5, 2, 1)``, hashing alike."""
 
     corridor_x: float
     y: int
     orientation: int
 
 
-@dataclass(frozen=True)
-class GoalSpec:
-    """Sampling target: row index and position along the row."""
+class GoalSpec(NamedTuple):
+    """Sampling target: row index and position along the row; a named tuple,
+    so ``GoalSpec(0, 3) == Action(0, 3) == (0, 3)``."""
 
     row: int
     goal_y: int
 
 
-@dataclass(frozen=True)
-class Action:
-    """[orientation, move]: move 0 forward, 1 backward, m >= 2 switch to corridor m - 1.5."""
+class Action(NamedTuple):
+    """[orientation, move]: move 0 forward, 1 backward, m >= 2 switch to corridor m - 1.5;
+    a named tuple, so ``Action(0, 3) == GoalSpec(0, 3) == (0, 3)``."""
 
     orientation: int
     move: int
@@ -241,7 +242,10 @@ def _transition(
         heading = 1 if action.orientation == UP else -1
         sign = 1 if action.move == FORWARD else -1
         ny = state.y + heading * sign
-        ny = max(-1, min(field.corridor_len, ny))  # clamp at field bounds, still costs
+        if ny <= -1:  # clamp at field bounds, still costs; a clamped y is the int bound
+            ny = -1
+        elif ny >= field.corridor_len:
+            ny = field.corridor_len
         dy = ny - state.y
         step_penalty = STEP_PENALTY
         distance = float(abs(dy))
@@ -260,21 +264,8 @@ def _transition(
         if abs(next_state.corridor_x - origin) <= nearest:
             bonus = CLOSER_CORRIDOR_BONUS
 
-    parts = RewardParts(
-        step_penalty=step_penalty,
-        switch_penalty=switch_penalty,
-        turn_penalty=turn_penalty,
-        oscillation_penalty=oscillation_penalty,
-        goal_reward=goal_reward,
-        closer_corridor_bonus=bonus,
-    )
-    return StepOutcome(
-        next_state=next_state,
-        reward=parts.total(),
-        done=done,
-        reward_parts=parts,
-        distance_delta=distance,
-    )
+    parts = RewardParts(step_penalty, switch_penalty, turn_penalty, oscillation_penalty, goal_reward, bonus)
+    return StepOutcome(next_state, parts.total(), done, parts, distance)
 
 
 def observe(state: RobotState, goal: GoalSpec, field: FieldSpec) -> np.ndarray:

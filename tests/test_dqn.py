@@ -250,6 +250,15 @@ class TestTraining:
             assert grad.dtype == dtype
             assert np.sqrt(np.sum(np.square(grad, dtype=np.float64))) == pytest.approx(1.0)
 
+    def test_gradient_clipping_past_float32_overflow(self):
+        # the float32 dot overflows to inf; the norm is taken again in float64
+        grad = np.full(4, 1e19, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            norm = clip_gradients(grad, 10.0)
+        assert norm == pytest.approx(2e19)
+        assert grad.dtype == np.float32
+        assert np.array_equal(grad, np.full(4, 5.0, dtype=np.float32))
+
     def test_target_sync_is_bitwise_and_unaliased(self):
         net = toy_net(1, dtype=np.float32)
         target = net.copy()

@@ -395,6 +395,16 @@ class TestPinnedOutputs:
         ]
         assert sum(plan_astar(r).nodes_expanded for r in requests) == SUITE_65_ASTAR_NODES
 
+    def test_astar_plans_and_node_count_on_a_seeded_1000_row_suite(self):
+        # at 1,000 rows most pops are headland poses with two lateral edges
+        # (pinned before A* built those edges without a comprehension)
+        results = [
+            plan_astar(PlanRequest(i.field, i.start, i.goal))
+            for i in generate_instances(FieldSpec(1000, 10), 100, seed=11)
+        ]
+        assert _digest(map(_PLAN, results)) == SUITE_1000_ASTAR_DIGEST
+        assert sum(r.nodes_expanded for r in results) == SUITE_1000_ASTAR_NODES
+
     def test_route_lengths_outlive_a_new_search_order(self):
         # every heuristic output, and A*'s length and success or its error:
         # what a new tie rule or bound for A* must not move (pinned before
@@ -411,4 +421,6 @@ SMALL_FIELD_DIGEST = "1a8f22784f7c8c4db70e9a440f7476529e1fc440ba0ce5e9caef50ccd0
 SUITE_65_DIGEST = "3ecbbcf1d856d77b6796c8002d0fc73ab481867fef788b0d3f97dc57070a9285"
 MACRO_DIGEST = "82cda687d3e59cf546c244e8b9f277dccbc351ffa66a2b8fb06af7fb93b751ec"
 SUITE_65_ASTAR_NODES = 7590
+SUITE_1000_ASTAR_DIGEST = "aa80db485006ca8097f4880afabbccfd8eaa09d033581b0c9615194cf9658a5f"
+SUITE_1000_ASTAR_NODES = 35586
 ROUTE_LENGTH_DIGEST = "78c6578738c3e760df13f77d61aa37e01cf3473563d6068dd9e187bf0771d9ac"

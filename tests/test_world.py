@@ -173,6 +173,14 @@ class TestFieldSpec:
                 check_state(field, RobotState(x, 2, UP))
 
 
+def test_value_types_are_plain_tuples():
+    # poses, goals and actions compare and hash as plain tuples of their
+    # fields, and keep the repr every pinned digest hashes
+    assert Action(0, 3) == GoalSpec(0, 3) == (0, 3)
+    assert hash(RobotState(0.5, 2, 1)) == hash((0.5, 2, 1))
+    assert repr(Action(0, 3)) == "Action(orientation=0, move=3)"
+
+
 class TestGoalConfigs:
     def test_interior_row_has_two(self):
         field = FieldSpec(10, 10)
