@@ -67,11 +67,6 @@ def records(phase: str, side: str, sha: str, pair: int, seed: int, code: int, li
     return out
 
 
-def quartiles(values: list[float]) -> tuple[float, float]:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
-
-
 def summarize(recs: list[dict]) -> dict:
     summary = {}
     for workload, seed in dict.fromkeys((r["workload"], r["seed"]) for r in recs if "metrics" in r):
@@ -85,7 +80,7 @@ def summarize(recs: list[dict]) -> dict:
             parent = [p["parent"][metric] for p in pairs]
             change = [p["change"][metric] for p in pairs]
             sign = -1 if metric in LOWER_IS_BETTER else 1
-            q1, q3 = quartiles(parent)
+            q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
             metrics[metric] = {
                 "parent_median": statistics.median(parent),
                 "change_median": statistics.median(change),
