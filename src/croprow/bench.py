@@ -125,9 +125,7 @@ def run_benchmark(
                     )
                 )
                 continue
-            replay = simulate(
-                instance.field, instance.start, instance.goal, list(result.raw_actions)
-            )
+            replay = simulate(instance.field, instance.start, instance.goal, result.raw_actions)
             records.append(
                 BenchmarkRecord(
                     instance.instance_id,

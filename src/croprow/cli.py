@@ -68,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _brackets(actions) -> str:
-    return json.dumps([[a.orientation, a.move] for a in actions], separators=(",", ":"))
+    return json.dumps(actions, separators=(",", ":"))
 
 
 def _convert(kind: type, text: str, where: str):
@@ -181,10 +181,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "planner": result.planner_id.value,
             "rows": field.num_rows,
             "len": field.corridor_len,
-            "start": [request.start.corridor_x, request.start.y, request.start.orientation],
-            "goal": [request.goal.row, request.goal.goal_y],
-            "macro_actions": [[a.orientation, a.move] for a in result.macro_actions],
-            "raw_actions": [[a.orientation, a.move] for a in result.raw_actions],
+            "start": request.start,
+            "goal": request.goal,
+            "macro_actions": result.macro_actions,
+            "raw_actions": result.raw_actions,
             "path_length": result.path_length,
             "planning_time_ns": elapsed_ns,
             "nodes_expanded": result.nodes_expanded,
@@ -210,6 +210,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--planners names no planner")
     planners = _build_planners(names, args.model)
     out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before any planning, which can take minutes
     if args.scaling:
         sizes = _parse_sizes(args.scaling)
         doc = {}
@@ -230,7 +231,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"  {r.num_rows:>5} {r.instances:>9} {r.mean_time_ns / 1e6:>9.3f} "
                     f"{r.success_rate * 100:>7.2f}%"
                 )
-        out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "scaling.json", "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -303,11 +303,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
     else:
+        draw = 2 * field.num_rows - 1 <= 10_000  # a picture line's width
+        if not draw:
+            _log(f"field too wide to draw: {field.num_rows} rows")
         print("start:")
-        print(_render(field, start, goal))
+        if draw:
+            print(_render(field, start, goal))
         for i, (action, outcome) in enumerate(zip(actions, result.outcomes)):
             print(f"step {i}: action {_brackets([action])} reward {outcome.reward:+.1f}")
-            print(_render(field, outcome.next_state, goal))
+            if draw:
+                print(_render(field, outcome.next_state, goal))
         print(f"verdict: {'success' if result.success else 'failure'}")
         if result.failure_reason:
             print(f"reason: {result.failure_reason}")

@@ -84,8 +84,11 @@ def expand_macro_legs(
     A vertical macro repeats until the route completes or the robot reaches a
     corridor end; a switch macro is a single action.  Without a goal the
     replay is purely geometric: vertical runs end only at corridor ends.
+    The start and then the goal are checked once, before the first macro and
+    also when there is none; later states come from the transition rule.
     Raises ValueError when a macro cannot make progress, naming it.
     """
+    check_state(field, start)
     configs = () if goal is None else goal_configs(field, goal)
     state = start
     raw: list[Action] = []
@@ -95,7 +98,6 @@ def expand_macro_legs(
             raise ValueError(f"macro {i} {macro}: route already complete")
         leg = [state]
         try:
-            check_state(field, state)  # the start; later states come from the rule
             check_action(field, macro)
             while True:
                 # rewards are not read here, so no previous move and any origin

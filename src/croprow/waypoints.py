@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 from croprow.planners import expand_macro_legs
-from croprow.world import FieldSpec, GoalSpec, RobotState, check_state
+from croprow.world import FieldSpec, GoalSpec, RobotState
 
 
 class Phase(str, Enum):
@@ -114,41 +114,23 @@ def compile_route(
 ) -> WaypointPath:
     """Compile macro actions into a centerline waypoint polyline.
 
-    The sequence is validated by replaying it in the abstract world; an
-    inexecutable macro raises ValueError naming it.  With a goal, vertical
-    runs may end at the goal cell; without one they run to corridor ends.
-    An empty sequence compiles to the single point at the start pose.
+    The sequence is validated by replaying it in the abstract world with
+    expand_macro_legs, which checks the start and the goal once, before any
+    macro, and raises ValueError naming an inexecutable macro.  With a goal,
+    vertical runs may end at the goal cell; without one they run to corridor
+    ends.  A vertical macro is an approach when it is the only macro, an exit
+    when it is the first and an enter otherwise.  An empty sequence compiles
+    to the single point at the start pose.
     """
-    check_state(field, start)
     macros = list(macro_actions)
-    if not macros:
-        return WaypointPath(
-            (
-                Waypoint(
-                    metric_x(start.corridor_x, geometry),
-                    metric_y(start.y, field, geometry),
-                    Phase.APPROACH,
-                    Direction.FORWARD,
-                ),
-            )
-        )
     _, legs = expand_macro_legs(field, start, macros, goal=goal)
     points: list[Waypoint] = []
-    seen_switch = False
-    seen_vertical = False
-    for macro, leg in zip(macros, legs):
+    for i, (macro, leg) in enumerate(zip(macros, legs)):
         if macro.move >= 2:
             phase = Phase.SWITCH
-            seen_switch = True
             direction = Direction.FORWARD  # headland travel is tagged forward
         else:
-            if len(macros) == 1:
-                phase = Phase.APPROACH
-            elif not seen_vertical and not seen_switch:
-                phase = Phase.EXIT
-            else:
-                phase = Phase.ENTER
-            seen_vertical = True
+            phase = Phase.APPROACH if len(macros) == 1 else Phase.ENTER if i else Phase.EXIT
             direction = Direction.FORWARD if macro.move == 0 else Direction.BACKWARD
         for state in leg:
             x = metric_x(state.corridor_x, geometry)
@@ -156,7 +138,8 @@ def compile_route(
             if points and points[-1].x_m == x and points[-1].y_m == y:
                 continue  # leg junctions share a pose; keep the earlier tag
             points.append(Waypoint(x, y, phase, direction))
-    return WaypointPath(tuple(points))
+    x, y = metric_x(start.corridor_x, geometry), metric_y(start.y, field, geometry)
+    return WaypointPath(tuple(points) or (Waypoint(x, y, Phase.APPROACH, Direction.FORWARD),))
 
 
 def to_world(path: WaypointPath, geometry: FieldGeometry) -> WaypointPath:

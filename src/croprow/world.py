@@ -19,6 +19,7 @@ corridor (ties grant the bonus).
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from numbers import Integral
@@ -373,7 +374,7 @@ def simulate(
     field: FieldSpec,
     start: RobotState,
     goal: GoalSpec,
-    actions: list[Action],
+    actions: Sequence[Action],
 ) -> SimulationResult:
     """Replay unit actions from start; the only arbiter of plan success.
 

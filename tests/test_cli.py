@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from croprow import cli
+from croprow.bench import generate_instances
 from croprow.cli import _parse_stages, main
 from croprow.dqn import QNetwork, TrainConfig, load_checkpoint, save_checkpoint
+from croprow.world import FieldSpec
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +28,13 @@ def run_cli(capsys, *argv):
 
 GEOMETRY = "row_spacing_m = 0.76\ncorridor_length_m = 20\n"
 WHERE = ["--rows", "4", "--len", "5", "--start", "1.5,2,0", "--goal", "2,4"]
+PINNED_EXPORT_DIGESTS = {
+    "plan": "4fe05e8c390b2ce412e21facc2b34a9a0ecd4d53bf3513dea61e62c2f282c4ef",
+    "local waypoints.csv": "845fd367df9ac6ff8cd5eecab1434cf3858e6fa2c3e6aab1562e56425ba0e18e",
+    "local waypoints.geojson": "70a57266a4660ddbdae54721a8971f62fc2fa8282759013a34dfc86fa51d08e6",
+    "world waypoints.csv": "abcd3c19e7e95c8fc352b2d8e41c53990deb9d664a368768cebee5b9a3ce5703",
+    "world waypoints.geojson": "f6376778a1cef1c264fae967a305ce0f53de6202c070e5401c83e626e92bd24c",
+}
 
 
 class TestPlan:
@@ -176,6 +186,39 @@ class TestExport:
         assert code == 1
         assert "row_gap" in err
 
+    def test_three_phase_route_bytes_pinned(self, capsys, tmp_path):
+        # the plan document and the four export files of one seeded 65-row
+        # route that exits, switches and enters; pinned before the export path
+        # was rewritten, so any byte it changes fails here
+        inst = generate_instances(FieldSpec(65, 10), 1, 5)[0]
+        code, out, _ = run_cli(
+            capsys,
+            "plan", "--planner", "astar", "--rows", "65", "--len", "10",
+            "--start", ",".join(map(str, inst.start)), "--goal", ",".join(map(str, inst.goal)),
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["macro_actions"] == [[0, 0], [1, 53], [1, 0]]
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(out)
+        timeless = "".join(
+            line for line in out.splitlines(keepends=True) if '"planning_time_ns"' not in line
+        )
+        digests = {"plan": hashlib.sha256(timeless.encode()).hexdigest()}
+        geometry = tmp_path / "geom.cfg"
+        geometry.write_text(GEOMETRY + "origin_e = 100\norigin_n = 50\nheading_rad = 0.3\n")
+        for frame in ("local", "world"):
+            out_dir = tmp_path / frame
+            code, _, _ = run_cli(
+                capsys,
+                "export", "--plan-json", str(plan_path), "--geometry", str(geometry),
+                "--frame", frame, "--output-dir", str(out_dir),
+            )
+            assert code == 0
+            for name in ("waypoints.csv", "waypoints.geojson"):
+                digests[f"{frame} {name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        assert digests == PINNED_EXPORT_DIGESTS
+
     @pytest.mark.parametrize(
         "geometry, frame",
         [
@@ -219,11 +262,12 @@ class TestExport:
             ({"len": "10"}, "must be integers"),
             ({"goal": [6, 4.0]}, "must be integers"),
             ({"goal": [6]}, "goal must be [row,y]"),
+            ({"rows": 5, "goal": [99, 0], "macro_actions": []}, "goal row out of range"),
         ],
         ids=[
             "float-and-bool-macros", "bool-macro", "macro-object", "fractional-start",
             "bool-orientation", "short-start", "string-x", "nan-x", "huge-int-x",
-            "fractional-rows", "string-len", "float-goal", "short-goal",
+            "fractional-rows", "string-len", "float-goal", "short-goal", "empty-route-goal-row",
         ],
     )
     def test_malformed_plan_exits_1_writing_nothing(self, capsys, tmp_path, change, message):
@@ -306,6 +350,25 @@ class TestBench:
         assert code == 1
         assert "no planner" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("form", [["--rows", "6"], ["--scaling", "4,6"]], ids=["rows", "scaling"])
+    def test_unusable_output_dir_exits_1_before_planning(self, capsys, tmp_path, monkeypatch, form):
+        calls = []
+        plan = cli.plan_heuristic
+        monkeypatch.setattr(cli, "plan_heuristic", lambda request: calls.append(1) or plan(request))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(
+            capsys,
+            "bench", "--planners", "heuristic,astar", "--n", "3", *form, "--len", "5",
+            "--output-dir", str(taken),
+        )
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: [Errno 17] File exists: '{taken}'"
+        ]
+        assert calls == []
 
     def test_unknown_planner_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -673,6 +736,31 @@ class TestSimulate:
             )
             assert code == 2
             assert "illegal action at index 0" in out
+
+    def test_wide_field_replays_without_pictures(self, capsys):
+        where = ["--rows", "5001", "--len", "10", "--start", "0.5,3,0", "--goal", "40,4"]
+        code, out, _ = run_cli(capsys, "plan", "--planner", "heuristic", *where, "--format", "json")
+        actions = json.dumps(json.loads(out)["raw_actions"])
+        json_code, _, _ = run_cli(capsys, "simulate", *where, "--actions", actions, "--format", "json")
+        code, out, err = run_cli(capsys, "simulate", *where, "--actions", actions)
+        assert code == json_code == 0
+        assert max(map(len, out.splitlines())) <= 10_000
+        assert "field too wide to draw: 5001 rows" in err.splitlines()
+        steps = [line for line in out.splitlines() if line.startswith("step ")]
+        assert len(steps) == len(json.loads(actions))
+        assert out.splitlines()[-4:] == ["verdict: success", "distance: 48", "reward: 15.4", "steps: 10"]
+
+    def test_huge_field_text_replay_never_draws(self, capsys, monkeypatch):
+        # drawing 300,000,000 rows would need gigabytes; the patch stands in for that
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_render", exhausted)
+        where = ["--rows", "300000000", "--len", "1", "--start", "0.5,0,0", "--goal", "5,0"]
+        for extra in ([], ["--format", "json"]):
+            code, out, _ = run_cli(capsys, "simulate", *where, "--actions", "[]", *extra)
+            assert code == 2
+            assert "actions exhausted before reaching the goal" in out
 
     def test_boolean_action_component_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "simulate", *WHERE, "--actions", "[[0,true]]")

@@ -246,6 +246,11 @@ def test_macro_fidelity(request):
         assert dedup(expanded) == result.macro_actions
 
 
+def test_macro_expansion_checks_the_start_without_macros():
+    with pytest.raises(ValueError, match="not a corridor centerline"):
+        expand_macro_legs(FieldSpec(5, 5), RobotState(7.5, 2, 0), [])
+
+
 def test_astar_takes_integral_float_headings_and_goals():
     # check_state and check_goal admit 1.0 for 1; the search packs them as ints
     field = FieldSpec(6, 5)

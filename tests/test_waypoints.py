@@ -176,6 +176,10 @@ class TestCompile:
         assert (point.x_m, point.y_m) == (1.5, 2.5)
         assert point.phase is Phase.APPROACH
 
+    def test_empty_macros_still_check_the_goal(self):
+        with pytest.raises(ValueError, match="goal row out of range"):
+            compile_route([], RobotState(1.5, 2, UP), FieldSpec(5, 5), GEOM, goal=GoalSpec(99, 0))
+
     def test_backward_exit_tagged_backward(self):
         field = FieldSpec(3, 5)
         # facing down, exiting through the top means driving backward
