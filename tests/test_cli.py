@@ -188,8 +188,7 @@ class TestExport:
 
     def test_three_phase_route_bytes_pinned(self, capsys, tmp_path):
         # the plan document and the four export files of one seeded 65-row
-        # route that exits, switches and enters; pinned before the export path
-        # was rewritten, so any byte it changes fails here
+        # route that exits, switches and enters, pinned byte for byte
         inst = generate_instances(FieldSpec(65, 10), 1, 5)[0]
         code, out, _ = run_cli(
             capsys,
