@@ -8,6 +8,7 @@ pose by pose, against a one-pose-at-a-time 0-1 BFS over the same graph.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import re
@@ -537,6 +538,44 @@ class TestSimulate:
         result = simulate(self.field, RobotState(0.5, 0, UP), GoalSpec(3, 0), padded)
         assert result.success
         assert result.steps == len(actions)
+
+
+    def test_replay_bits_pinned(self):
+        # repr of every replay over seeded small fields: planned routes, random
+        # walks with in-corridor switches, turns, oscillations, out-of-range
+        # moves and bad orientations, and a walk past the step budget
+        kinds = (
+            "success", "turn", "oscillation", "step budget exhausted",
+            "corridor switch requires a headland", "move component out of range",
+            "bad orientation component",
+        )
+        rng = np.random.default_rng(2026)
+        digest = hashlib.sha256()
+        seen = set()
+        for i in range(1200):
+            field = FieldSpec(int(rng.integers(2, 8)), int(rng.integers(1, 6)))
+            start, goal = sample_pose(field, rng), sample_goal(field, rng)
+            if i % 4 == 0:
+                actions = env_shortest(field, start, goal)[1]
+            else:
+                actions = [
+                    Action(
+                        int(rng.integers(2)) if rng.random() < 0.97 else int(rng.choice([-1, 2])),
+                        int(rng.integers(2)) if rng.random() < 0.7 else int(rng.integers(2, field.num_rows + 2)),
+                    )
+                    for _ in range(int(rng.integers(41)))
+                ]
+            if i == 1199:  # never facing down, so never at the goal
+                field, start, goal = FieldSpec(2, 1), RobotState(0.5, 0, UP), GoalSpec(1, 0)
+                actions = [Action(UP, FORWARD), Action(UP, BACKWARD)] * field.max_steps
+            result = simulate(field, start, goal, actions)
+            digest.update(repr(result).encode())
+            reason = result.failure_reason or "success"
+            seen.update(kind for kind in kinds if kind in reason)
+            for parts in (outcome.reward_parts for outcome in result.outcomes):
+                seen.update(kind for kind in ("turn", "oscillation") if getattr(parts, f"{kind}_penalty"))
+        assert seen == set(kinds)
+        assert digest.hexdigest() == "c700ea243ec02841eb94ba04b0042b5ae0071a25027929f6a7e07198f09211f1"
 
 
 class TestEpisode:
