@@ -303,9 +303,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
     else:
-        draw = 2 * field.num_rows - 1 <= 10_000  # a picture line's width
+        draw = (2 * field.num_rows - 1) * (field.corridor_len + 2) <= 120_000  # a picture's characters
         if not draw:
-            _log(f"field too wide to draw: {field.num_rows} rows")
+            _log(f"field too large to draw: {field.num_rows} rows, length {field.corridor_len}")
         print("start:")
         if draw:
             print(_render(field, start, goal))

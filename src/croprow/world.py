@@ -89,9 +89,9 @@ class Action(NamedTuple):
     move: int
 
 
-@dataclass(frozen=True)
-class RewardParts:
-    """Itemized reward terms; the step reward is their exact sum."""
+class RewardParts(NamedTuple):
+    """Itemized reward terms; the step reward is their exact sum.  A named
+    tuple with the repr of the frozen dataclass it replaced."""
 
     step_penalty: float = 0.0
     switch_penalty: float = 0.0
@@ -111,13 +111,18 @@ class RewardParts:
         )
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
+    """One step's result; a named tuple with the repr of the frozen dataclass
+    it replaced."""
+
     next_state: RobotState
     reward: float
     done: bool
     reward_parts: RewardParts
     distance_delta: float
+
+
+_UNIT_STEP = RewardParts(STEP_PENALTY)  # a unit step with no turn, oscillation or arrival
 
 
 @dataclass(frozen=True)
@@ -220,45 +225,35 @@ def _transition(
     configs: tuple[RobotState, ...], prev_displacement: int | None, origin: float,
 ) -> StepOutcome:
     """The step rule on a checked pose and action, given the goal's terminal set."""
-    headland = at_headland(field, state.y)
-    if action.move >= 2 and not headland:
-        raise IllegalActionError(
-            f"corridor switch requires a headland, robot at y={state.y}"
-        )
-
-    turn_penalty = 0.0
-    if action.orientation != state.orientation and not headland:
-        turn_penalty = TURN_PENALTY
-
-    step_penalty = 0.0
-    switch_penalty = 0.0
-    dy = 0
-    if action.move >= 2:
-        target_x = action.move - 1.5
-        lateral = abs(target_x - state.corridor_x)
-        switch_penalty = SWITCH_PENALTY_PER_ROW * lateral
-        distance = lateral
-        next_state = RobotState(target_x, state.y, action.orientation)
+    y = state.y
+    orientation, move = action
+    headland = y == -1 or y == field.corridor_len
+    turn_penalty = TURN_PENALTY if orientation != state.orientation and not headland else 0.0
+    if move >= 2:
+        if not headland:
+            raise IllegalActionError(f"corridor switch requires a headland, robot at y={y}")
+        target_x = move - 1.5
+        distance = abs(target_x - state.corridor_x)
+        next_state = RobotState(target_x, y, orientation)
+        done = next_state in configs
+        step_penalty, switch_penalty, oscillation_penalty = 0.0, SWITCH_PENALTY_PER_ROW * distance, 0.0
     else:
-        heading = 1 if action.orientation == UP else -1
-        sign = 1 if action.move == FORWARD else -1
-        ny = state.y + heading * sign
+        ny = y + 1 if (orientation == UP) == (move == FORWARD) else y - 1
         if ny <= -1:  # clamp at field bounds, still costs; a clamped y is the int bound
             ny = -1
         elif ny >= field.corridor_len:
             ny = field.corridor_len
-        dy = ny - state.y
-        step_penalty = STEP_PENALTY
+        dy = ny - y
         distance = float(abs(dy))
-        next_state = RobotState(state.corridor_x, ny, action.orientation)
+        next_state = RobotState(state.corridor_x, ny, orientation)
+        done = next_state in configs
+        oscillating = not headland and dy != 0 and prev_displacement is not None and dy == -prev_displacement
+        if not (turn_penalty or oscillating or done):  # -0.2 + 0.0 + ... == -0.2 exactly
+            return StepOutcome(next_state, STEP_PENALTY, False, _UNIT_STEP, distance)
+        step_penalty, switch_penalty = STEP_PENALTY, 0.0
+        oscillation_penalty = OSCILLATION_PENALTY if oscillating else 0.0
 
-    oscillation_penalty = 0.0
-    if not headland and dy != 0 and prev_displacement is not None and dy == -prev_displacement:
-        oscillation_penalty = OSCILLATION_PENALTY
-
-    goal_reward = 0.0
-    bonus = 0.0
-    done = next_state in configs
+    goal_reward = bonus = 0.0
     if done:
         goal_reward = GOAL_REWARD
         nearest = min(abs(c.corridor_x - origin) for c in configs)
@@ -360,8 +355,7 @@ class Episode:
             self.field, self.state, action, self.goal_configs,
             self.prev_displacement, self.initial_corridor_x,
         )
-        dy = out.next_state.y - self.state.y
-        self.prev_displacement = dy if action.move < 2 else 0
+        self.prev_displacement = out.next_state.y - self.state.y if action.move < 2 else 0
         self.state = out.next_state
         self.steps += 1
         self.done = out.done

@@ -744,7 +744,7 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", *where, "--actions", actions)
         assert code == json_code == 0
         assert max(map(len, out.splitlines())) <= 10_000
-        assert "field too wide to draw: 5001 rows" in err.splitlines()
+        assert "field too large to draw: 5001 rows, length 10" in err.splitlines()
         steps = [line for line in out.splitlines() if line.startswith("step ")]
         assert len(steps) == len(json.loads(actions))
         assert out.splitlines()[-4:] == ["verdict: success", "distance: 48", "reward: 15.4", "steps: 10"]
@@ -760,6 +760,19 @@ class TestSimulate:
             code, out, _ = run_cli(capsys, "simulate", *where, "--actions", "[]", *extra)
             assert code == 2
             assert "actions exhausted before reaching the goal" in out
+
+    def test_long_field_text_replay_never_draws(self, capsys, monkeypatch):
+        # a 2-row picture of length 100,000,000 would need gigabytes, however narrow
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_render", exhausted)
+        where = ["--rows", "2", "--len", "100000000", "--start", "0.5,0,0", "--goal", "1,5"]
+        for extra in ([], ["--format", "json"]):
+            code, out, err = run_cli(capsys, "simulate", *where, "--actions", "[]", *extra)
+            assert code == 2
+            assert "actions exhausted before reaching the goal" in out
+            assert ("field too large to draw: 2 rows, length 100000000" in err.splitlines()) == (not extra)
 
     def test_boolean_action_component_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "simulate", *WHERE, "--actions", "[[0,true]]")

@@ -30,7 +30,9 @@ from croprow.world import (
     FieldSpec,
     GoalSpec,
     IllegalActionError,
+    RewardParts,
     RobotState,
+    StepOutcome,
     _UNREACHED,
     _distance_field,
     _pose_id,
@@ -175,11 +177,21 @@ class TestFieldSpec:
 
 
 def test_value_types_are_plain_tuples():
-    # poses, goals and actions compare and hash as plain tuples of their
-    # fields, and keep the repr every pinned digest hashes
+    # poses, goals, actions, reward parts and step outcomes compare and hash
+    # as plain tuples of their fields, and keep the repr every pinned digest hashes
     assert Action(0, 3) == GoalSpec(0, 3) == (0, 3)
     assert hash(RobotState(0.5, 2, 1)) == hash((0.5, 2, 1))
     assert repr(Action(0, 3)) == "Action(orientation=0, move=3)"
+    parts = RewardParts(-0.2)
+    assert repr(parts) == (
+        "RewardParts(step_penalty=-0.2, switch_penalty=0.0, turn_penalty=0.0, "
+        "oscillation_penalty=0.0, goal_reward=0.0, closer_corridor_bonus=0.0)"
+    )
+    assert parts == (-0.2, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert parts.total() == -0.2
+    outcome = StepOutcome(RobotState(0.5, 2, 1), -0.2, False, parts, 1.0)
+    with pytest.raises(AttributeError):
+        outcome.reward = 0.0
 
 
 class TestGoalConfigs:
