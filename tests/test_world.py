@@ -551,7 +551,6 @@ class TestSimulate:
         assert result.success
         assert result.steps == len(actions)
 
-
     def test_replay_bits_pinned(self):
         # repr of every replay over seeded small fields: planned routes, random
         # walks with in-corridor switches, turns, oscillations, out-of-range
