@@ -179,18 +179,16 @@ def check_action(field: FieldSpec, action: Action) -> None:
 def goal_configs(field: FieldSpec, goal: GoalSpec) -> tuple[RobotState, ...]:
     """Terminal configurations servicing the goal row from an adjacent corridor.
 
-    Facing up in the east corridor or facing down in the west corridor puts
-    the goal row on the robot's working side; edge rows have only one.
+    Facing up in the east corridor, listed first, or facing down in the west
+    corridor puts the goal row on the robot's working side; edge rows have one.
     """
     check_goal(field, goal)
-    configs = []
-    east = goal.row + 0.5
-    if is_corridor(field, east):
-        configs.append(RobotState(east, goal.goal_y, UP))
-    west = goal.row - 0.5
-    if is_corridor(field, west):
-        configs.append(RobotState(west, goal.goal_y, DOWN))
-    return tuple(configs)
+    row, y = goal
+    if row == 0:
+        return (RobotState(row + 0.5, y, UP),)
+    if row == field.num_rows - 1:
+        return (RobotState(row - 0.5, y, DOWN),)
+    return RobotState(row + 0.5, y, UP), RobotState(row - 0.5, y, DOWN)
 
 
 def is_goal(field: FieldSpec, state: RobotState, goal: GoalSpec) -> bool:

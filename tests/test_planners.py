@@ -302,7 +302,7 @@ def test_planners_share_no_code_with_the_oracle():
         seen.add(code.co_name)
         assert not oracle_names & set(code.co_names), code.co_name
         stack += [c for c in code.co_consts if inspect.iscode(c)]
-    assert {"_astar_route", "_heuristic_route", "<lambda>"} <= seen
+    assert {"_astar_route", "_heuristic_route", "<setcomp>"} <= seen
 
 
 def _digest(items) -> str:

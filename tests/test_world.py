@@ -205,6 +205,46 @@ class TestGoalConfigs:
         assert goal_configs(field, GoalSpec(0, 2)) == (RobotState(0.5, 2, UP),)
         assert goal_configs(field, GoalSpec(3, 2)) == (RobotState(2.5, 2, DOWN),)
 
+    def test_closed_form_matches_the_definition(self):
+        # every goal, integral floats too: the neighbouring corridors that
+        # exist, east facing up then west facing down (the row on the
+        # working side), built with is_corridor as the definition reads
+        for rows in range(2, 7):
+            for length in range(1, 4):
+                field = FieldSpec(rows, length)
+                for row in range(rows):
+                    for gy in range(length):
+                        for goal in (GoalSpec(row, gy), GoalSpec(float(row), float(gy))):
+                            sides = [(goal.row + 0.5, UP), (goal.row - 0.5, DOWN)]
+                            expected = tuple(
+                                RobotState(x, goal.goal_y, o) for x, o in sides if is_corridor(field, x)
+                            )
+                            assert repr(goal_configs(field, goal)) == repr(expected)
+
+    def test_integral_float_goals_keep_their_types(self):
+        field = FieldSpec(4, 5)
+        assert repr(goal_configs(field, GoalSpec(0.0, 2.0))) == (
+            "(RobotState(corridor_x=0.5, y=2.0, orientation=0),)"
+        )
+        assert repr(goal_configs(field, GoalSpec(3.0, 2))) == (
+            "(RobotState(corridor_x=2.5, y=2, orientation=1),)"
+        )
+
+    @pytest.mark.parametrize(
+        "goal, message",
+        [
+            (GoalSpec(-1, 0), "goal row out of range: -1"),
+            (GoalSpec(4, 0), "goal row out of range: 4"),
+            (GoalSpec(1.5, 0), "goal row is not an integer: 1.5"),
+            (GoalSpec(0, -1), "goal_y out of range: -1"),
+            (GoalSpec(3, 5), "goal_y out of range: 5"),
+            (GoalSpec(3, 2.5), "goal_y is not an integer: 2.5"),
+        ],
+    )
+    def test_out_of_range_goals_raise(self, goal, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            goal_configs(FieldSpec(4, 5), goal)
+
     def test_is_goal_checks_orientation(self):
         field = FieldSpec(4, 5)
         assert is_goal(field, RobotState(2.5, 2, DOWN), GoalSpec(3, 2))
