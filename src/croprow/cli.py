@@ -1,9 +1,11 @@
 """Plan, benchmark, train, replay, and export field navigation routes.
 
 Exit codes: 0 on success, 1 on usage or validation errors, 2 when planning or
-replay reports failure.  The resolved configuration and progress notes go to
-standard error; standard output carries only the result (text or JSON).
-Action sequences on the wire use the bracketed form [[orientation,move],...].
+replay reports failure, 130 when interrupted; a reader that closes standard
+output early changes none of them.  The resolved configuration and progress
+notes go to standard error; standard output carries only the result (text or
+JSON).  Action sequences on the wire use the bracketed form
+[[orientation,move],...].
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -47,8 +50,7 @@ from croprow.waypoints import (
     write_geojson,
 )
 from croprow.world import UP, Action, FieldSpec, GoalSpec, RobotState, simulate
-# no longer called here; kept because perfbench/workloads.py traces cli.Episode by name
-from croprow.world import Episode  # noqa: F401
+from croprow.world import Episode  # noqa: F401 - not called here; perfbench/workloads.py traces cli.Episode
 
 
 PLANNER_NAMES = tuple(planner_id.value for planner_id in PlannerId)
@@ -56,6 +58,15 @@ PLANNER_NAMES = tuple(planner_id.value for planner_id in PlannerId)
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _out(text: str) -> None:
+    """One line of the result, flushed; once its reader has gone, the run goes on with
+    standard output at os.devnull, as the Python docs' note on SIGPIPE advises."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,11 +157,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    shown = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key != "func" and value is not None
-    }
+    shown = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     _log("config: " + " ".join(f"{k}={v}" for k, v in shown.items()))
 
 
@@ -191,13 +198,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "success": result.success,
             "failure_reason": result.failure_reason,
         }
-        print(json.dumps(doc, indent=2))
+        _out(json.dumps(doc, indent=2))
     else:
-        print(f"macro {_brackets(result.macro_actions)}")
-        print(f"raw {_brackets(result.raw_actions)}")
-        print(f"path length {result.path_length:g}")
-        print(f"planning time {elapsed_ns / 1e6:.3f} ms")
-        print(f"nodes expanded {result.nodes_expanded}")
+        _out(f"macro {_brackets(result.macro_actions)}")
+        _out(f"raw {_brackets(result.raw_actions)}")
+        _out(f"path length {result.path_length:g}")
+        _out(f"planning time {elapsed_ns / 1e6:.3f} ms")
+        _out(f"nodes expanded {result.nodes_expanded}")
     if not result.success:
         _log(f"planning failed: {result.failure_reason}")
         return 2
@@ -224,10 +231,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 repetitions=args.repetitions,
             )
             doc[planner.planner_id.value] = [asdict(r) for r in results]
-            print(f"{planner.planner_id.value} scaling:")
-            print(f"  {'rows':>5} {'instances':>9} {'mean ms':>9} {'success':>8}")
+            _out(f"{planner.planner_id.value} scaling:")
+            _out(f"  {'rows':>5} {'instances':>9} {'mean ms':>9} {'success':>8}")
             for r in results:
-                print(
+                _out(
                     f"  {r.num_rows:>5} {r.instances:>9} {r.mean_time_ns / 1e6:>9.3f} "
                     f"{r.success_rate * 100:>7.2f}%"
                 )
@@ -241,7 +248,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     instances = generate_instances(field, args.n, args.seed)
     records = run_benchmark(planners, instances, repetitions=args.repetitions)
     report = emit_report(records, out_dir)
-    print(report["table"])
+    _out(report["table"])
     _log(f"wrote {out_dir / 'benchmark.csv'} and {out_dir / 'benchmark.json'}")
     return 0
 
@@ -265,7 +272,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for entry in logs[rows]:
             lines.append(f"{rows},{entry.episode},{entry.ret!r},{str(entry.success).lower()}")
     log_path.write_text("\n".join(lines) + "\n")
-    print(str(args.out))
+    _out(str(args.out))
     _log(f"wrote training log {log_path}")
     return 0
 
@@ -290,7 +297,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     actions = _parse_actions(args.actions)
     result = simulate(field, start, goal, actions)
     if args.format == "json":
-        print(
+        _out(
             json.dumps(
                 {
                     "success": result.success,
@@ -306,19 +313,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         draw = (2 * field.num_rows - 1) * (field.corridor_len + 2) <= 120_000  # a picture's characters
         if not draw:
             _log(f"field too large to draw: {field.num_rows} rows, length {field.corridor_len}")
-        print("start:")
+        _out("start:")
         if draw:
-            print(_render(field, start, goal))
+            _out(_render(field, start, goal))
         for i, (action, outcome) in enumerate(zip(actions, result.outcomes)):
-            print(f"step {i}: action {_brackets([action])} reward {outcome.reward:+.1f}")
+            _out(f"step {i}: action {_brackets([action])} reward {outcome.reward:+.1f}")
             if draw:
-                print(_render(field, outcome.next_state, goal))
-        print(f"verdict: {'success' if result.success else 'failure'}")
+                _out(_render(field, outcome.next_state, goal))
+        _out(f"verdict: {'success' if result.success else 'failure'}")
         if result.failure_reason:
-            print(f"reason: {result.failure_reason}")
-        print(f"distance: {result.total_distance:g}")
-        print(f"reward: {result.total_reward:.1f}")
-        print(f"steps: {result.steps}")
+            _out(f"reason: {result.failure_reason}")
+        _out(f"distance: {result.total_distance:g}")
+        _out(f"reward: {result.total_reward:.1f}")
+        _out(f"steps: {result.steps}")
     return 0 if result.success else 2
 
 
@@ -361,7 +368,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         write_geojson(path, target)
         written.append(target)
     for target in written:
-        print(str(target))
+        _out(str(target))
     return 0
 
 
@@ -436,6 +443,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a size too large for this machine
         _log(f"error: {str(exc) or 'out of memory'}")
         return 1
+    except KeyboardInterrupt:  # Ctrl-C; 130 is the shell's code for it
+        _log("interrupted")
+        return 130
 
 
 if __name__ == "__main__":

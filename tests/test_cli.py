@@ -857,6 +857,81 @@ def test_memory_exhaustion_exits_1_with_one_error_line(
     assert list(tmp_path.iterdir()) == []
 
 
+SIMULATE = ["simulate", *WHERE, "--actions"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--planner", "astar", *WHERE],
+        ["plan", "--planner", "astar", *WHERE, "--format", "json"],
+        [*SIMULATE, "[[0,0],[0,0],[0,0],[1,0]]"],
+        [*SIMULATE, "[[0,0],[0,0],[0,0],[1,0]]", "--format", "json"],
+        [*SIMULATE, "[[0,0]]"],
+        [*SIMULATE, "[[0,0]]", "--format", "json"],
+        ["bench", "--planners", "heuristic,astar", "--n", "5", "--rows", "6", "--len", "6"],
+        ["bench", "--planners", "heuristic", "--scaling", "4,8", "--n", "5", "--len", "5"],
+        ["train", "--stages", "3", "--steps", "100", "--len", "4", "--out", "m.npz"],
+        ["export", "--plan-json", "plan.json", "--geometry", "geom.cfg"],
+        ["export", "--plan-json", "plan.json", "--geometry", "geom.cfg", "--format", "json"],
+    ],
+    ids=[
+        "plan", "plan-json", "simulate", "simulate-json", "simulate-failing", "simulate-failing-json",
+        "bench", "bench-scaling", "train", "export", "export-json",
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code_and_the_files(capsys, tmp_path, monkeypatch, argv):
+    # the reader of standard output has gone, as with `| head -c 1`: a pipe
+    # whose read end is closed, so writes fail with EPIPE (SIGPIPE is ignored)
+    plan_code, plan_doc, _ = run_cli(capsys, "plan", "--planner", "astar", *WHERE, "--format", "json")
+    assert plan_code == 0
+
+    def run_in(name):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        (workdir / "plan.json").write_text(plan_doc)
+        (workdir / "geom.cfg").write_text(GEOMETRY)
+        monkeypatch.chdir(workdir)
+        return workdir
+
+    open_dir = run_in("open")
+    open_code, open_out, _ = run_cli(capsys, *argv)
+    assert open_out
+    closed_dir = run_in("closed")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(argv)
+        monkeypatch.setattr(sys, "stdout", sys.__stdout__)
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))  # the rest went there
+    err = capsys.readouterr().err
+    assert code == open_code
+    assert "error" not in err.lower() and "Traceback" not in err
+    assert sorted(p.name for p in closed_dir.iterdir()) == sorted(p.name for p in open_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--stages", "3", "--steps", "100", "--out", "m.npz"],
+    ["bench", "--planners", "heuristic", "--n", "5", "--output-dir", "out"],
+], ids=["train", "bench"])
+def test_interrupt_exits_130_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    # no signal is sent: the patched work raises as Ctrl-C would
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_curriculum", interrupted)
+    monkeypatch.setattr(cli, "run_benchmark", interrupted)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 130
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith(("config:", "generating"))] == ["interrupted"]
+    assert "Traceback" not in err
+    # nothing is written before the work ends; bench has made its output directory
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if argv[0] == "train" else ["out"])
+
+
 @pytest.mark.parametrize(
     "first, second",
     [
