@@ -900,10 +900,9 @@ def test_closed_stdout_keeps_the_exit_code_and_the_files(capsys, tmp_path, monke
     closed_dir = run_in("closed")
     read_end, write_end = os.pipe()
     os.close(read_end)
-    with open(write_end, "w") as closed:
-        monkeypatch.setattr(sys, "stdout", closed)
+    with open(write_end, "w") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
         code = main(argv)
-        monkeypatch.setattr(sys, "stdout", sys.__stdout__)
         assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))  # the rest went there
     err = capsys.readouterr().err
     assert code == open_code
