@@ -193,8 +193,7 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     corridor, y1 = int(start.corridor_x - 0.5), int(start.y) + 1
     origin = corridor * width + 2 * y1 + int(start.orientation)
     h = (lo - corridor if corridor < lo else corridor - hi if corridor > hi else 0) + abs(y1 - goal_y1)
-    best_g = [n * top] * n  # above any g: a route visits a node once, at most top per hop
-    best_g[origin], parent = 0, {}
+    best_g, parent = {origin: 0}, {}  # only the nodes the search reaches, on any width
     frontier, pops = [(h * span + h) * n + origin], 0  # the start pops first, alone
     while frontier:
         fh, node = divmod(heappop(frontier), n)
@@ -228,7 +227,7 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
             edges.append((leg, dy, 0))
         for succ, cost, hs in edges:
             ng = g + cost
-            if ng < best_g[succ]:
+            if ng < best_g.get(succ, ng + 1):
                 best_g[succ] = ng
                 parent[succ] = node
                 heappush(frontier, ((ng + hs) * span + hs) * n + succ)

@@ -276,6 +276,15 @@ def test_integral_float_y_plans_like_its_int(planner, start, goal):
     assert as_ints.success and as_ints.raw_actions
 
 
+def test_astar_memory_follows_the_search_not_the_field():
+    # 10**18 rows: a table per node of the field cannot even be sized, while
+    # a goal two corridors away takes a handful of pops
+    request = PlanRequest(FieldSpec(10**18, 10), RobotState(0.5, 3, UP), GoalSpec(2, 4))
+    result = plan_astar(request)
+    assert (result.path_length, result.nodes_expanded) == (10.0, 5)
+    assert result.macro_actions == plan_heuristic(request).macro_actions
+
+
 @given(plan_instances())
 @settings(max_examples=50, deadline=None)
 def test_purity(request):
