@@ -213,7 +213,7 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
             return [start, *reversed(path)], pops
         corridor, y1 = node // width, node % width >> 1
         dy = abs(y1 - goal_y1)
-        lat = h - dy  # corridors to the nearer goal corridor; a lateral step moves it by one
+        lat = h - dy  # corridors to the nearer goal corridor; a lateral step moves it by at most one
         if 0 < y1 < top:
             edges = [(node + 2 * (top - y1), top - y1, lat + top - goal_y1), (node - 2 * y1, y1, lat + goal_y1)]
         else:
