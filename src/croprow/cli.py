@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 1 on usage or validation errors, 2 when planning or
 replay reports failure, 130 when interrupted; a reader that closes standard
-output early changes none of them.  The resolved configuration and progress
-notes go to standard error; standard output carries only the result (text or
-JSON).  Action sequences on the wire use the bracketed form
-[[orientation,move],...].
+output early changes none of them, nor does a closed standard error.  The
+resolved configuration and progress notes go to standard error; standard
+output carries only the result (text or JSON).  Action sequences on the wire
+use the bracketed form [[orientation,move],...].
 """
 
 from __future__ import annotations
@@ -57,7 +57,13 @@ PLANNER_NAMES = tuple(planner_id.value for planner_id in PlannerId)
 
 
 def _log(message: str) -> None:
-    print(message, file=sys.stderr)
+    """One note on standard error, dropped when standard error cannot take it."""
+    if sys.stderr is None:  # Python started without it; print would write to stdout
+        return
+    try:
+        print(message, file=sys.stderr)
+    except OSError:  # closed, as with `2>&-`
+        pass
 
 
 def _out(text: str) -> None:
@@ -73,8 +79,7 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; argparse's default of 2 is reserved for
     # planning/replay failure in our exit-code contract
     def error(self, message):
-        self.print_usage(sys.stderr)
-        _log(f"error: {message}")
+        _log(f"{self.format_usage()}error: {message}")  # print_usage(None) would write to stdout
         raise SystemExit(1)
 
 

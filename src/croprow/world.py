@@ -288,30 +288,30 @@ def _pose_id(field: FieldSpec, state: RobotState) -> int:
 
 @lru_cache(maxsize=1024)
 def _distance_field(field: FieldSpec, goal: GoalSpec) -> array:
-    """Exact distance from every pose id to the goal's terminal set.
-
-    The motion graph has vertical unit moves anywhere, lateral unit steps and
-    free reorientation only at headlands, and no in-corridor turns.  A round
-    relaxes every vertical line of the (corridor, y + 1, heading) array, then
-    the headlands' flips and lateral lines, each by two int64 prefix-minimum
-    passes.  Vertical passes are idempotent, so once a headland pass changes
-    nothing the array is the Bellman-Ford fixed point: the exact distance.
+    """Exact distance from every pose id to the goal's terminal set, relaxed on an
+    int64 (y + 1, heading, corridor) array, so every numpy call spans all corridors.
+    Vertical lines take a doubling scan, the 1-D L1 distance transform (Rosenfeld &
+    Pfaltz 1966) as a Hillis-Steele scan: exact, as updates are real paths and shifts
+    1 .. 2^(b-1) <= top bound each entry by min_j d[j] + |y - j| over 2^b - 1 >= top.
+    Headlands, alone in allowing lateral steps and free flips, take the flip and two
+    prefix-minimum passes; once those change nothing, the array is the fixed point.
     """
-    dist = np.full((field.num_rows - 1, field.corridor_len + 2, 2), _UNREACHED, np.int64)
-    for config in goal_configs(field, goal):
-        dist.flat[_pose_id(field, config)] = 0
-
-    def relax(d, i, axis):  # min_j d[j] + |i - j| along axis, i the index there
-        forward = np.minimum.accumulate(d - i, axis=axis) + i
-        backward = np.flip(np.minimum.accumulate(np.flip(d + i, axis), axis=axis), axis) - i
-        return np.minimum(forward, backward)
-
+    top = field.corridor_len + 1  # the far headland's y + 1
+    dist = np.full((top + 1, 2, field.num_rows - 1), _UNREACHED, np.int64)
+    poses = dist.transpose(2, 0, 1)  # a view in pose-id order
+    poses.flat[[_pose_id(field, config) for config in goal_configs(field, goal)]] = 0
+    i = np.arange(field.num_rows - 1)
     while True:
-        dist = relax(dist, np.arange(dist.shape[1])[:, None], 1)
-        headlands = dist[:, [0, -1]]  # free flips, then the lateral steps
-        dist[:, [0, -1]] = relax(headlands.min(axis=2), np.arange(len(dist))[:, None], 0)[..., None]
-        if np.array_equal(dist[:, [0, -1]], headlands):
-            return array("i", dist.astype(np.intc).tobytes())
+        for k in (1 << b for b in range(top.bit_length())):  # 1, 2, 4, ... <= top
+            np.minimum(dist[k:], dist[:-k] + k, out=dist[k:])
+            np.minimum(dist[:-k], dist[k:] + k, out=dist[:-k])
+        headlands = dist[::top]  # a view of both ends: free flips, then the lateral steps
+        flipped = np.minimum(headlands[:, UP], headlands[:, DOWN])
+        forward = np.minimum.accumulate(flipped - i, axis=1) + i
+        lateral = np.minimum(forward, np.minimum.accumulate((flipped + i)[:, ::-1], axis=1)[:, ::-1] - i)
+        if (headlands == lateral[:, None]).all():
+            return array("i", poses.astype(np.intc).tobytes())
+        headlands[...] = lateral[:, None]
 
 
 def oracle_shortest(field: FieldSpec, start: RobotState, goal: GoalSpec) -> float:

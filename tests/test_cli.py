@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -1012,3 +1013,63 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "macro [[0,0],[1,0]]" in proc.stdout
+
+
+class _ClosedStderr:
+    """Standard error after `2>&-`: every write fails as a closed descriptor does."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["plan", "--planner", "astar", *WHERE, "--format", "json"], 0),
+        (["plan", "--planner", "astar", "--rows", "4", "--len", "5", "--start", "1.5,2,0", "--goal", "9,4"], 1),
+        (["plan", "--planner", "nope", *WHERE], 1),
+        ([*SIMULATE, "[[0,0]]"], 2),
+        ([*SIMULATE, "[[0,0]]", "--format", "json"], 2),
+        (["export", "--plan-json", "plan.json", "--geometry", "geom.cfg"], 0),
+    ],
+    ids=["plan", "bad-goal", "usage", "simulate-failing", "simulate-failing-json", "export"],
+)
+def test_closed_stderr_keeps_the_exit_code_and_stdout(capsys, tmp_path, monkeypatch, argv, want):
+    monkeypatch.setattr(cli, "timed_call", lambda planner, request: (planner.plan(request), 1))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plan.json").write_text(run_cli(capsys, "plan", "--planner", "astar", *WHERE, "--format", "json")[1])
+    (tmp_path / "geom.cfg").write_text(GEOMETRY)
+    open_code, open_out, open_err = run_cli(capsys, *argv)
+    assert open_code == want and open_err
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", _ClosedStderr())
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (open_code, open_out)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["plan", "--planner", "astar", *WHERE, "--format", "json"], 0),
+        (["plan", "--planner", "nope", *WHERE], 1),
+    ],
+    ids=["plan", "usage"],
+)
+def test_started_without_stderr_keeps_notes_off_stdout(argv, want):
+    # fd 2 closed before exec, so the child's sys.stderr is None
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "croprow", *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        preexec_fn=lambda: os.close(2),
+    )
+    assert proc.returncode == want
+    if want == 0:
+        assert json.loads(proc.stdout)["success"] is True
+    else:
+        assert proc.stdout == ""

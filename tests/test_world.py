@@ -432,6 +432,13 @@ class TestOracle:
             (1000, 10, 6),
             (2, 1, None),
             (2, _distance_field.cache_info().maxsize // 2 + 1, None),  # the memo-bound field
+            # corridor_len + 1 on and around powers of two, where the number
+            # of shifts in the vertical doubling scan changes
+            *[
+                (rows, top - 1, None)
+                for rows in (2, 3, 5)
+                for top in (2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+            ],
         ],
     )
     def test_field_equals_reference_bfs_on_every_pose(self, rows, length, goals):
