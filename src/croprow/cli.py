@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -282,18 +283,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render(field: FieldSpec, state: RobotState, goal: GoalSpec) -> str:
+def _render(field: FieldSpec, goal: GoalSpec) -> Callable[[RobotState], str]:
+    """The picture of the field with the goal, as a function of the robot's
+    state, for a goal and states that ``simulate`` accepted.  The lines without
+    the robot are built here, once; each picture rebuilds only the robot's."""
     interior = "#" + " #" * (field.num_rows - 1)
-    headland = " " * len(interior)
-    lines = []
-    for y in range(field.corridor_len, -2, -1):
-        chars = list(interior if 0 <= y < field.corridor_len else headland)
-        if y == goal.goal_y:
-            chars[2 * goal.row] = "*"
-        if state.y == y:
-            chars[int(2 * state.corridor_x)] = "^" if state.orientation == UP else "v"
-        lines.append("".join(chars).rstrip())
-    return "\n".join(lines)
+    top = field.corridor_len
+    plain = [interior if 0 <= y < top else " " * len(interior) for y in range(top, -2, -1)]
+    i, x = top - int(goal.goal_y), 2 * goal.row
+    plain[i] = plain[i][:x] + "*" + plain[i][x + 1:]
+    lines = [line.rstrip() for line in plain]
+
+    def picture(state: RobotState) -> str:
+        i, x = top - int(state.y), int(2 * state.corridor_x)
+        robot = plain[i][:x] + ("^" if state.orientation == UP else "v") + plain[i][x + 1:]
+        return "\n".join([*lines[:i], robot.rstrip(), *lines[i + 1:]])
+
+    return picture
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -318,13 +324,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         draw = (2 * field.num_rows - 1) * (field.corridor_len + 2) <= 120_000  # a picture's characters
         if not draw:
             _log(f"field too large to draw: {field.num_rows} rows, length {field.corridor_len}")
+        picture = _render(field, goal) if draw else None
         _out("start:")
-        if draw:
-            _out(_render(field, start, goal))
+        if picture:
+            _out(picture(start))
         for i, (action, outcome) in enumerate(zip(actions, result.outcomes)):
             _out(f"step {i}: action {_brackets([action])} reward {outcome.reward:+.1f}")
-            if draw:
-                _out(_render(field, outcome.next_state, goal))
+            if picture:
+                _out(picture(outcome.next_state))
         _out(f"verdict: {'success' if result.success else 'failure'}")
         if result.failure_reason:
             _out(f"reason: {result.failure_reason}")

@@ -504,17 +504,24 @@ def save_checkpoint(
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
+def _archive_array(data, name: str) -> np.ndarray:
+    if name not in data.files:
+        raise ValueError(f"checkpoint has no {name} array")
+    return data[name]
+
+
 def load_checkpoint(path) -> tuple[QNetwork, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`; raises
-    ValueError when the file is not a readable .npz archive, meta is
-    malformed, an array's shape disagrees with the layer sizes in meta, or
-    the arrays do not share one real floating dtype."""
+    ValueError when the file is not a readable .npz archive, meta or a layer's
+    array is missing, meta is malformed or lacks a key, an array's shape
+    disagrees with the layer sizes in meta, or the arrays do not share one
+    real floating dtype."""
     try:
         data = np.load(path, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError(f"{path} holds one array, not an .npz archive")
         with data:
-            meta = json.loads(str(data["meta"]))
+            meta = json.loads(str(_archive_array(data, "meta")))
             try:
                 if meta["format_version"] != CHECKPOINT_VERSION:
                     raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
@@ -522,9 +529,11 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
                 meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
             except TypeError as exc:
                 raise ValueError(f"malformed checkpoint meta: {exc}") from exc
+            except KeyError as exc:
+                raise ValueError(f"malformed checkpoint meta: no key {exc}") from exc
             weights, biases = [], []
             for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-                W, b = data[f"W{i}"], data[f"b{i}"]
+                W, b = _archive_array(data, f"W{i}"), _archive_array(data, f"b{i}")
                 if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
                     raise ValueError(
                         f"checkpoint layer {i} has W{i} {W.shape} and b{i} {b.shape}, "

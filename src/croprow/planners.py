@@ -9,8 +9,9 @@ Two planners produce provably shortest routes:
 * :func:`plan_astar` searches a compact implicit graph whose nodes are
   corridor/headland waypoints, held as integer ids that sort as their
   ``(corridor, y + 1, heading)`` tuples, on a heap of one-int keys, with a
-  closed-form Manhattan-style bound and ties broken toward larger g, and
-  counts the nodes it expands.
+  closed-form Manhattan-style bound and ties broken toward larger g,
+  relaxing each successor inline with no per-pop list of edges, and counts
+  the nodes it expands.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the macro form used by the deployment pipeline, where
@@ -180,8 +181,10 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     start is a headland or goal pose, whose bound h is the corridors to the nearer
     goal corridor plus the rows to the goal's y.  A heap entry is the int
     ``(f * H + h) * N + node`` (h < H, node < N): equal f pops the larger g first,
-    then the smaller node (Asai & Fukunaga, AAAI 2016).  The route keeps only the
-    poses where y changes, so a headland run is one hop."""
+    then the smaller node (Asai & Fukunaga, AAAI 2016).  Each kind of successor
+    is relaxed inline, in that order, with no list of edges built per pop; a
+    successor keeps the first parent that reaches its best g.  The route keeps
+    only the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
@@ -194,10 +197,11 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     origin = corridor * width + 2 * y1 + int(start.orientation)
     h = (lo - corridor if corridor < lo else corridor - hi if corridor > hi else 0) + abs(y1 - goal_y1)
     best_g, parent = {origin: 0}, {}  # only the nodes the search reaches, on any width
+    get, fn = best_g.get, span * n
     frontier, pops = [(h * span + h) * n + origin], 0  # the start pops first, alone
     while frontier:
-        fh, node = divmod(heappop(frontier), n)
-        f, h = divmod(fh, span)
+        f, rest = divmod(heappop(frontier), fn)
+        h, node = divmod(rest, n)
         g = f - h
         if g > best_g[node]:
             continue
@@ -214,23 +218,37 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
         corridor, y1 = node // width, node % width >> 1
         dy = abs(y1 - goal_y1)
         lat = h - dy  # corridors to the nearer goal corridor; a lateral step moves it by at most one
-        if 0 < y1 < top:
-            edges = [(node + 2 * (top - y1), top - y1, lat + top - goal_y1), (node - 2 * y1, y1, lat + goal_y1)]
-        else:
-            edges = [(node ^ 1, 0, h), (node + 2 * (top - 2 * y1), top, lat + top - dy)]
-            if corridor > 0:
-                edges.append((node - width, 1, h + (1 if corridor <= lo else -1 if corridor > hi else 0)))
-            if corridor < last:
-                edges.append((node + width, 1, h + (1 if corridor >= hi else -1 if corridor < lo else 0)))
-        leg = node + 2 * (goal_y1 - y1)
-        if leg in goals:
-            edges.append((leg, dy, 0))
-        for succ, cost, hs in edges:
-            ng = g + cost
-            if ng < best_g.get(succ, ng + 1):
-                best_g[succ] = ng
-                parent[succ] = node
+        if 0 < y1 < top:  # drive to the top headland, then to the bottom one
+            succ, ng, hs = node + 2 * (top - y1), g + top - y1, lat + top - goal_y1
+            if ng < get(succ, ng + 1):
+                best_g[succ], parent[succ] = ng, node
                 heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+            succ, ng, hs = node - 2 * y1, g + y1, lat + goal_y1
+            if ng < get(succ, ng + 1):
+                best_g[succ], parent[succ] = ng, node
+                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+        else:  # flip for free, cross to the opposite headland, step west, step east
+            succ = node ^ 1
+            if g < get(succ, g + 1):
+                best_g[succ], parent[succ] = g, node
+                heappush(frontier, (f * span + h) * n + succ)
+            succ, ng, hs = node + 2 * (top - 2 * y1), g + top, lat + top - dy
+            if ng < get(succ, ng + 1):
+                best_g[succ], parent[succ] = ng, node
+                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+            ng = g + 1
+            if corridor > 0 and ng < get(node - width, ng + 1):
+                succ, hs = node - width, h + (1 if corridor <= lo else -1 if corridor > hi else 0)
+                best_g[succ], parent[succ] = ng, node
+                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+            if corridor < last and ng < get(node + width, ng + 1):
+                succ, hs = node + width, h + (1 if corridor >= hi else -1 if corridor < lo else 0)
+                best_g[succ], parent[succ] = ng, node
+                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+        succ, ng = node + 2 * (goal_y1 - y1), g + dy  # the goal leg, whose bound is 0
+        if succ in goals and ng < get(succ, ng + 1):
+            best_g[succ], parent[succ] = ng, node
+            heappush(frontier, ng * fn + succ)
     raise RuntimeError("search space exhausted without reaching the goal")
 
 

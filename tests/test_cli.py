@@ -465,8 +465,11 @@ class TestTrain:
             lambda meta: list(meta.values()),
             lambda meta: {**meta, "hidden_sizes": 8},
             lambda meta: {**meta, "train_config": None},
+            lambda meta: {"format_version": meta["format_version"]},
+            lambda meta: {k: v for k, v in meta.items() if k != "train_config"},
         ],
-        ids=["meta-is-a-list", "hidden-sizes-is-an-int", "train-config-is-null"],
+        ids=["meta-is-a-list", "hidden-sizes-is-an-int", "train-config-is-null", "only-format-version",
+             "no-train-config"],
     )
     def test_model_with_malformed_meta_exits_1(self, capsys, tmp_path, edit):
         path = tmp_path / "bad.npz"
@@ -514,6 +517,19 @@ class TestTrain:
         )
         assert code == 1
         assert f"checkpoint layer {layer}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["meta", "W0", "b1", "W2"])
+    def test_model_missing_an_array_exits_1(self, capsys, tmp_path, name):
+        path = tmp_path / "bad.npz"
+        self.save_with_arrays(path, lambda a: {k: v for k, v in a.items() if k != name})
+        with pytest.raises(ValueError, match=f"checkpoint has no {name} array"):
+            load_checkpoint(path)
+        code, _, err = run_cli(
+            capsys, "plan", "--planner", "dqn", "--model", str(path), *WHERE
+        )
+        assert code == 1
+        assert f"error: checkpoint has no {name} array" in err.splitlines()
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
