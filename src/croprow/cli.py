@@ -290,8 +290,8 @@ def _render(field: FieldSpec, goal: GoalSpec) -> Callable[[RobotState], str]:
     interior = "#" + " #" * (field.num_rows - 1)
     top = field.corridor_len
     plain = [interior if 0 <= y < top else " " * len(interior) for y in range(top, -2, -1)]
-    i, x = top - int(goal.goal_y), 2 * goal.row
-    plain[i] = plain[i][:x] + "*" + plain[i][x + 1:]
+    g, x = top - int(goal.goal_y), 2 * goal.row
+    plain[g] = plain[g][:x] + "*" + plain[g][x + 1:]
     lines = [line.rstrip() for line in plain]
 
     def picture(state: RobotState) -> str:

@@ -181,10 +181,9 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     start is a headland or goal pose, whose bound h is the corridors to the nearer
     goal corridor plus the rows to the goal's y.  A heap entry is the int
     ``(f * H + h) * N + node`` (h < H, node < N): equal f pops the larger g first,
-    then the smaller node (Asai & Fukunaga, AAAI 2016).  Each kind of successor
-    is relaxed inline, in that order, with no list of edges built per pop; a
-    successor keeps the first parent that reaches its best g.  The route keeps
-    only the poses where y changes, so a headland run is one hop."""
+    then the smaller node (Asai & Fukunaga, AAAI 2016).  Successors are relaxed
+    inline, in that order; a node keeps the first parent that reaches its best g.
+    The route keeps only the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
