@@ -5,7 +5,8 @@ replay reports failure, 130 when interrupted; a reader that closes standard
 output early changes none of them, nor does a closed standard error.  The
 resolved configuration and progress notes go to standard error; standard
 output carries only the result (text or JSON).  Action sequences on the wire
-use the bracketed form [[orientation,move],...].
+use the bracketed form [[orientation,move],...].  Export compiles the macros
+of a plan's raw actions, and refuses them unless they replay to those actions.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from croprow.dqn import (
 from croprow.planners import (
     PlannerId,
     PlanRequest,
+    dedup,
+    expand_macro_legs,
     plan_astar,
     plan_heuristic,
 )
@@ -346,24 +349,26 @@ def cmd_export(args: argparse.Namespace) -> int:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("plan JSON must be an object")
-    for key in ("rows", "len", "start", "macro_actions"):
+    for key in ("rows", "len", "start", "goal", "raw_actions"):
         if key not in doc:
             raise ValueError(f"plan JSON is missing {key!r}")
-    start, goal = doc["start"], doc.get("goal")
+    start, goal = doc["start"], doc["goal"]
     if not (isinstance(start, list) and len(start) == 3):
         raise ValueError(f"plan JSON start must be [x,y,orientation], got {start!r}")
-    if not (goal is None or isinstance(goal, list) and len(goal) == 2):
+    if not (isinstance(goal, list) and len(goal) == 2):
         raise ValueError(f"plan JSON goal must be [row,y], got {goal!r}")
-    if not all(map(_is_int, [doc["rows"], doc["len"], *start[1:], *(goal or ())])):
+    if not all(map(_is_int, [doc["rows"], doc["len"], *start[1:], *goal])):
         raise ValueError("plan JSON rows, len, start y, orientation and goal must be integers")
     x = start[0]
     # inside a float's finite range: not nan, not inf, not an int too large for a float
     if not ((_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max):
         raise ValueError(f"plan JSON start x must be a finite number, got {x!r}")
     field = FieldSpec(doc["rows"], doc["len"])
-    start = RobotState(float(x), start[1], start[2])
-    goal = None if goal is None else GoalSpec(*goal)
-    macros = _action_pairs(doc["macro_actions"], "macro_actions")
+    start, goal = RobotState(float(x), start[1], start[2]), GoalSpec(*goal)
+    raw = _action_pairs(doc["raw_actions"], "raw_actions")
+    macros = dedup(raw)
+    if expand_macro_legs(field, start, macros, goal)[0] != raw:  # a turn inside a corridor, say
+        raise ValueError("plan JSON raw_actions are not what their macros replay to")
     geometry = load_geometry(args.geometry)
     path = compile_route(macros, start, field, geometry, goal=goal)
     if args.frame == "world":
@@ -430,7 +435,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("export", help="compile metric waypoints")
-    p.add_argument("--plan-json", required=True, help="document from plan --format json")
+    p.add_argument("--plan-json", required=True, help="plan --format json document with raw_actions and goal")
     p.add_argument("--geometry", required=True, help="geometry config file")
     p.add_argument(
         "--frame", choices=("local", "world"), default="local", help="output frame"

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from croprow.bench import generate_instances
 from croprow.planners import PlanRequest, PlanResult, PlannerId, dedup
 from croprow.world import (
     Action,
@@ -439,13 +440,9 @@ def run_curriculum(
 def evaluate(
     net: QNetwork, field: FieldSpec, episodes: int, seed: int
 ) -> float:
-    """Success rate of :func:`plan_dqn` over freshly sampled instances."""
-    rng = np.random.default_rng(seed)
-    wins = 0
-    for _ in range(episodes):
-        start, goal = sample_instance(field, rng)
-        wins += plan_dqn(PlanRequest(field, start, goal), net).success
-    return wins / episodes
+    """Success rate of :func:`plan_dqn` over ``generate_instances(field, episodes, seed)``."""
+    instances = generate_instances(field, episodes, seed)
+    return sum(plan_dqn(PlanRequest(i.field, i.start, i.goal), net).success for i in instances) / episodes
 
 
 def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:

@@ -75,20 +75,20 @@ def dedup(actions: list[Action] | tuple[Action, ...]) -> tuple[Action, ...]:
 
 
 def expand_macro_legs(
-    field: FieldSpec, start: RobotState, macros, goal: GoalSpec | None = None
+    field: FieldSpec, start: RobotState, macros, goal: GoalSpec
 ) -> tuple[list[Action], list[list[RobotState]]]:
     """Unit-step expansion of macro actions under deployment semantics,
     keeping the state trajectory of each macro as a separate leg.
 
-    A vertical macro repeats until the route completes or the robot reaches a
-    corridor end; a switch macro is a single action.  Without a goal the
-    replay is purely geometric: vertical runs end only at corridor ends.
-    The start and then the goal are checked once, before the first macro and
-    also when there is none; later states come from the transition rule.
-    Raises ValueError when a macro cannot make progress, naming it.
+    A vertical macro repeats until the route reaches the goal or the robot
+    reaches a corridor end, so raw actions that turn inside a corridor do not
+    expand from their dedup; a switch macro is a single action.  The start
+    and then the goal are checked once, before the first macro and also when
+    there is none; later states come from the transition rule.  Raises
+    ValueError when a macro cannot make progress, naming it.
     """
     check_state(field, start)
-    configs = () if goal is None else goal_configs(field, goal)
+    configs = goal_configs(field, goal)
     state = start
     raw: list[Action] = []
     legs: list[list[RobotState]] = []

@@ -110,17 +110,16 @@ def compile_route(
     start: RobotState,
     field: FieldSpec,
     geometry: FieldGeometry,
-    goal: GoalSpec | None = None,
+    goal: GoalSpec,
 ) -> WaypointPath:
     """Compile macro actions into a centerline waypoint polyline.
 
     The sequence is validated by replaying it in the abstract world with
     expand_macro_legs, which checks the start and the goal once, before any
-    macro, and raises ValueError naming an inexecutable macro.  With a goal,
-    vertical runs may end at the goal cell; without one they run to corridor
-    ends.  A vertical macro is an approach when it is the only macro, an exit
-    when it is the first and an enter otherwise.  An empty sequence compiles
-    to the single point at the start pose.
+    macro, and raises ValueError naming an inexecutable macro.  Vertical runs
+    end at the goal cell or a corridor end.  A vertical macro is an approach
+    when it is the only macro, an exit when it is the first and an enter
+    otherwise.  An empty sequence compiles to the single point at the start.
     """
     macros = list(macro_actions)
     _, legs = expand_macro_legs(field, start, macros, goal=goal)

@@ -28,6 +28,9 @@ def run_cli(capsys, *argv):
 
 
 GEOMETRY = "row_spacing_m = 0.76\ncorridor_length_m = 20\n"
+# the README plan: up to the top headland, a switch to corridor 5.5, down to the goal
+README_PLAN = {"rows": 10, "len": 10, "start": [0.5, 3, 0], "goal": [6, 4],
+               "raw_actions": [[0, 0]] * 7 + [[1, 7]] + [[1, 0]] * 6}
 WHERE = ["--rows", "4", "--len", "5", "--start", "1.5,2,0", "--goal", "2,4"]
 PINNED_EXPORT_DIGESTS = {
     "plan": "4fe05e8c390b2ce412e21facc2b34a9a0ecd4d53bf3513dea61e62c2f282c4ef",
@@ -249,9 +252,9 @@ class TestExport:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"macro_actions": [[0.9, 0.2], [True, 7.6], [1, 0]]}, "action 0"),
-            ({"macro_actions": [[0, 0], [True, 7], [1, 0]]}, "action 1"),
-            ({"macro_actions": {"0": [0, 0]}}, "macro_actions must be a JSON list"),
+            ({"raw_actions": [[0.9, 0.2], [True, 7.6], [1, 0]]}, "action 0"),
+            ({"raw_actions": [[0, 0], [True, 7], [1, 0]]}, "action 1"),
+            ({"raw_actions": {"0": [0, 0]}}, "raw_actions must be a JSON list"),
             ({"start": [0.5, 3.9, 0.4]}, "must be integers"),
             ({"start": [0.5, 3, True]}, "must be integers"),
             ({"start": [0.5, 3]}, "start must be [x,y,orientation]"),
@@ -262,18 +265,34 @@ class TestExport:
             ({"len": "10"}, "must be integers"),
             ({"goal": [6, 4.0]}, "must be integers"),
             ({"goal": [6]}, "goal must be [row,y]"),
-            ({"rows": 5, "goal": [99, 0], "macro_actions": []}, "goal row out of range"),
+            ({"rows": 5, "goal": [99, 0], "raw_actions": []}, "goal row out of range"),
+            ({"goal": None}, "goal must be [row,y]"),
+            # a DQN-style plan that simulate replays to the goal in 4 units: up
+            # one cell, then backward three; its macros [[1,0],[1,1]] would run
+            # to the bottom headland first, a 6-unit route
+            ({"rows": 4, "len": 4, "start": [2.5, 1, 0], "goal": [3, 3],
+              "raw_actions": [[1, 0], [1, 1], [1, 1], [1, 1]]}, "raw_actions are not what their macros replay to"),
         ],
         ids=[
             "float-and-bool-macros", "bool-macro", "macro-object", "fractional-start",
             "bool-orientation", "short-start", "string-x", "nan-x", "huge-int-x",
             "fractional-rows", "string-len", "float-goal", "short-goal", "empty-route-goal-row",
+            "null-goal", "turn-inside-a-corridor",
         ],
     )
     def test_malformed_plan_exits_1_writing_nothing(self, capsys, tmp_path, change, message):
-        # the README plan; each case breaks one value that int()/float() would coerce
-        doc = {"rows": 10, "len": 10, "start": [0.5, 3, 0], "goal": [6, 4],
-               "macro_actions": [[0, 0], [1, 7], [1, 0]], **change}
+        # the README plan with its values replaced, most by ones int()/float() would coerce
+        self.assert_refused(capsys, tmp_path, {**README_PLAN, **change}, message)
+
+    @pytest.mark.parametrize("key", ["goal", "raw_actions"])
+    def test_plan_without_a_key_exits_1_naming_it(self, capsys, tmp_path, key):
+        doc = {name: value for name, value in README_PLAN.items() if name != key}
+        self.assert_refused(capsys, tmp_path, doc, f"plan JSON is missing {key!r}")
+
+    @staticmethod
+    def assert_refused(capsys, tmp_path, doc, message):
+        """Export of ``doc`` exits 1 with one ``error:`` line holding
+        ``message``, nothing on standard output and no output directory."""
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(doc))
         geometry = tmp_path / "geom.cfg"
@@ -285,8 +304,8 @@ class TestExport:
             "--output-dir", str(out_dir),
         )
         assert code == 1
-        assert message in err
-        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if not line.startswith("config:")]
+        assert line.startswith("error: ") and message in line
         assert out == ""
         assert not out_dir.exists()
 
@@ -1089,3 +1108,22 @@ def test_started_without_stderr_keeps_notes_off_stdout(argv, want):
         assert json.loads(proc.stdout)["success"] is True
     else:
         assert proc.stdout == ""
+
+
+CLI_DIGEST = "528db62f4759111a1b3d1b01db31e32f5ede21f9ea28f580c9c5ab6c7e873399"
+
+
+def test_cli_output_bytes_match_the_pinned_digest():
+    # tools/cli_digest.py hashes plan, simulate and export output on seeded
+    # suites at 4, 65 and 1,000 rows; any changed byte changes its last line
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, str(tool)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == f"all {CLI_DIGEST}"

@@ -225,17 +225,18 @@ SMALL = st.one_of(
     st.integers(-2, 8),
     st.sampled_from([2.5, float("inf"), float("nan"), "3", "x", None, True, [], {}]),
 )
-# the README example plan, which switches from corridor 0.5 to 6.5
-README_PLAN = {"rows": 10, "len": 10, "start": [0.5, 3, 0], "goal": [6, 4], "macro_actions": [[0, 0], [1, 7], [1, 0]]}
+# the README example plan, which switches from corridor 0.5 to 5.5
+README_PLAN = {"rows": 10, "len": 10, "start": [0.5, 3, 0], "goal": [6, 4],
+               "raw_actions": [[0, 0]] * 7 + [[1, 7]] + [[1, 0]] * 6}
 PLAN_DOCS = st.one_of(
     st.fixed_dictionaries(
         {
             "rows": SMALL,
             "len": SMALL,
             "start": st.one_of(SMALL, st.lists(SMALL, max_size=4)),
-            "macro_actions": st.one_of(SMALL, st.lists(st.lists(SMALL, max_size=3), max_size=5)),
+            "goal": st.one_of(SMALL, st.lists(SMALL, max_size=3)),
+            "raw_actions": st.one_of(SMALL, st.lists(st.lists(SMALL, max_size=3), max_size=5)),
         },
-        optional={"goal": st.one_of(SMALL, st.lists(SMALL, max_size=3))},
     ),
     SMALL,
     st.lists(SMALL, max_size=3),
@@ -248,10 +249,12 @@ def _reject_constant(name):
 
 @given(doc=PLAN_DOCS, geometry=st.sampled_from(sorted(GEOMETRIES)), frame=st.sampled_from(("local", "world")))
 @settings(max_examples=100, deadline=None)
-@example(doc={"rows": 4, "len": 5, "start": [1.5, 2, 0], "macro_actions": [], "goal": [2]}, geometry="geometry.txt", frame="local")
-@example(doc={"rows": float("inf"), "len": 5, "start": [1.5, 2, 0], "macro_actions": []}, geometry="geometry.txt", frame="local")
-@example(doc=["rows", "len", "start", "macro_actions"], geometry="geometry.txt", frame="local")
-@example(doc={**README_PLAN, "macro_actions": [[0.9, 0.2], [True, 7.6], [1, 0]]}, geometry="geometry.txt", frame="local")
+@example(doc={"rows": 4, "len": 5, "start": [1.5, 2, 0], "goal": [2], "raw_actions": []}, geometry="geometry.txt", frame="local")
+@example(doc={"rows": float("inf"), "len": 5, "start": [1.5, 2, 0], "goal": [2, 4], "raw_actions": []}, geometry="geometry.txt", frame="local")
+@example(doc=["rows", "len", "start", "goal", "raw_actions"], geometry="geometry.txt", frame="local")
+@example(doc={**README_PLAN, "raw_actions": [[0.9, 0.2], [True, 7.6], [1, 0]]}, geometry="geometry.txt", frame="local")
+@example(doc={**README_PLAN, "raw_actions": [[0, 0], [1, 7], [1, 0]]}, geometry="geometry.txt", frame="local")
+@example(doc=README_PLAN, geometry="geometry.txt", frame="world")
 @example(doc={**README_PLAN, "start": [0.5, 3.9, 0.4]}, geometry="geometry.txt", frame="local")
 @example(doc={**README_PLAN, "rows": 10.7}, geometry="geometry.txt", frame="local")
 @example(doc=README_PLAN, geometry="nan_origin.txt", frame="world")

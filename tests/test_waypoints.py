@@ -142,13 +142,14 @@ class TestGeometry:
 class TestCompile:
     def test_single_run_worked_example(self):
         field = FieldSpec(4, 10)
-        path = compile_route([A(UP, 0)], RobotState(1.5, 2, UP), field, GEOM)
+        # facing up in corridor 1.5 serves row 1, so the run stops at cell 9
+        path = compile_route([A(UP, 0)], RobotState(1.5, 2, UP), field, GEOM, goal=GoalSpec(1, 9))
         assert all(p.x_m == pytest.approx(1.14) for p in path.points)
         ys = [p.y_m for p in path.points]
-        assert ys == [5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0, 19.0, 21.0]
+        assert ys == [5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0, 19.0]
         assert all(p.phase is Phase.APPROACH for p in path.points)
         assert all(p.direction is Direction.FORWARD for p in path.points)
-        assert polyline_length_m(path) == pytest.approx(16.0)
+        assert polyline_length_m(path) == pytest.approx(14.0)
 
     def test_three_phase_sequence(self):
         field = FieldSpec(10, 10)
@@ -170,7 +171,7 @@ class TestCompile:
     def test_empty_macros_single_point(self):
         field = FieldSpec(3, 5)
         geometry = FieldGeometry(1.0, 5.0)
-        path = compile_route([], RobotState(1.5, 2, UP), field, geometry)
+        path = compile_route([], RobotState(1.5, 2, UP), field, geometry, goal=GoalSpec(0, 0))
         assert len(path) == 1
         point = path.points[0]
         assert (point.x_m, point.y_m) == (1.5, 2.5)
@@ -182,19 +183,20 @@ class TestCompile:
 
     def test_backward_exit_tagged_backward(self):
         field = FieldSpec(3, 5)
-        # facing down, exiting through the top means driving backward
+        # facing down, exiting through the top means driving backward; row
+        # 0's goal is served facing up, so the run passes its cell
         path = compile_route(
-            [A(DOWN, 1)], RobotState(0.5, 3, DOWN), field, GEOM
+            [A(DOWN, 1)], RobotState(0.5, 3, DOWN), field, GEOM, goal=GoalSpec(0, 4)
         )
         assert all(p.direction is Direction.BACKWARD for p in path.points)
         assert path.points[0].y_m < path.points[-1].y_m
 
     def test_inexecutable_macro_names_offender(self):
-        field = FieldSpec(3, 5)
+        field, goal = FieldSpec(3, 5), GoalSpec(2, 0)
         with pytest.raises(ValueError, match="macro 0"):
-            compile_route([A(UP, 3)], RobotState(0.5, 2, UP), field, GEOM)
+            compile_route([A(UP, 3)], RobotState(0.5, 2, UP), field, GEOM, goal=goal)
         with pytest.raises(ValueError, match="macro 0.*no progress"):
-            compile_route([A(UP, 0)], RobotState(0.5, 5, UP), field, GEOM)
+            compile_route([A(UP, 0)], RobotState(0.5, 5, UP), field, GEOM, goal=goal)
 
     def test_already_complete_route_rejected(self):
         field = FieldSpec(3, 5)
@@ -303,7 +305,7 @@ class TestExport:
 
     def test_single_point_geojson_is_point(self):
         field = FieldSpec(3, 5)
-        path = compile_route([], RobotState(0.5, 1, UP), field, GEOM)
+        path = compile_route([], RobotState(0.5, 1, UP), field, GEOM, goal=GoalSpec(0, 0))
         doc = to_geojson(path)
         assert doc["geometry"] == {
             "type": "Point",
