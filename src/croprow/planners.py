@@ -9,9 +9,9 @@ Two planners produce provably shortest routes:
 * :func:`plan_astar` searches a compact implicit graph whose nodes are
   corridor/headland waypoints, held as integer ids that sort as their
   ``(corridor, y + 1, heading)`` tuples, on a heap of one-int keys, with a
-  closed-form Manhattan-style bound and ties broken toward larger g,
-  relaxing each successor inline with no per-pop list of edges, and counts
-  the nodes it expands.
+  closed-form Manhattan-style bound and ties broken toward larger g, relaxing
+  each successor inline and holding back the last one's key for the next pop,
+  and counts the nodes it expands.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the macro form used by the deployment pipeline, where
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 
 from croprow.world import (
     BACKWARD,
@@ -62,7 +62,7 @@ class PlanResult:
     planner_id: PlannerId
     success: bool = True
     failure_reason: str | None = None
-    nodes_expanded: int = 0  # A*'s non-stale heap pops, the goal pop included
+    nodes_expanded: int = 0  # A*'s non-stale entries taken, the goal's included
 
 
 def dedup(actions: list[Action] | tuple[Action, ...]) -> tuple[Action, ...]:
@@ -171,7 +171,7 @@ def plan_heuristic(request: PlanRequest) -> PlanResult:
 
 
 def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[list[RobotState], int]:
-    """The route and the count of non-stale heap pops, the goal pop included.
+    """The route and the count of non-stale entries taken, the goal's included.
 
     A node is the int ``(corridor * (len + 2) + y + 1) * 2 + heading``, sorting
     as its ``(corridor, y + 1, heading)`` tuple.  An interior pose drives to both
@@ -183,6 +183,9 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     ``(f * H + h) * N + node`` (h < H, node < N): equal f pops the larger g first,
     then the smaller node (Asai & Fukunaga, AAAI 2016).  Successors are relaxed
     inline, in that order; a node keeps the first parent that reaches its best g.
+    Each relaxation pushes the held key and holds its own; the next entry is
+    ``heappushpop(frontier, held)``, the held key untouched when below ``frontier[0]``.
+    Keys are unique, so the order is unchanged, and positive, so 0 holds nothing.
     The route keeps only the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
@@ -197,11 +200,11 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     h = (lo - corridor if corridor < lo else corridor - hi if corridor > hi else 0) + abs(y1 - goal_y1)
     best_g, parent = {origin: 0}, {}  # only the nodes the search reaches, on any width
     get, fn = best_g.get, span * n
-    frontier, pops = [(h * span + h) * n + origin], 0  # the start pops first, alone
-    while frontier:
-        f, rest = divmod(heappop(frontier), fn)
+    frontier, pops, held = [], 0, (h * span + h) * n + origin  # the start is taken first, alone
+    while frontier or held:
+        f, rest = divmod(heappushpop(frontier, held) if held else heappop(frontier), fn)
         h, node = divmod(rest, n)
-        g = f - h
+        g, held = f - h, 0
         if g > best_g[node]:
             continue
         pops += 1
@@ -221,33 +224,40 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
             succ, ng, hs = node + 2 * (top - y1), g + top - y1, lat + top - goal_y1
             if ng < get(succ, ng + 1):
                 best_g[succ], parent[succ] = ng, node
-                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+                if held: heappush(frontier, held)
+                held = ((ng + hs) * span + hs) * n + succ
             succ, ng, hs = node - 2 * y1, g + y1, lat + goal_y1
             if ng < get(succ, ng + 1):
                 best_g[succ], parent[succ] = ng, node
-                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+                if held: heappush(frontier, held)
+                held = ((ng + hs) * span + hs) * n + succ
         else:  # flip for free, cross to the opposite headland, step west, step east
             succ = node ^ 1
             if g < get(succ, g + 1):
                 best_g[succ], parent[succ] = g, node
-                heappush(frontier, (f * span + h) * n + succ)
+                if held: heappush(frontier, held)
+                held = (f * span + h) * n + succ
             succ, ng, hs = node + 2 * (top - 2 * y1), g + top, lat + top - dy
             if ng < get(succ, ng + 1):
                 best_g[succ], parent[succ] = ng, node
-                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+                if held: heappush(frontier, held)
+                held = ((ng + hs) * span + hs) * n + succ
             ng = g + 1
             if corridor > 0 and ng < get(node - width, ng + 1):
                 succ, hs = node - width, h + (1 if corridor <= lo else -1 if corridor > hi else 0)
                 best_g[succ], parent[succ] = ng, node
-                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+                if held: heappush(frontier, held)
+                held = ((ng + hs) * span + hs) * n + succ
             if corridor < last and ng < get(node + width, ng + 1):
                 succ, hs = node + width, h + (1 if corridor >= hi else -1 if corridor < lo else 0)
                 best_g[succ], parent[succ] = ng, node
-                heappush(frontier, ((ng + hs) * span + hs) * n + succ)
+                if held: heappush(frontier, held)
+                held = ((ng + hs) * span + hs) * n + succ
         succ, ng = node + 2 * (goal_y1 - y1), g + dy  # the goal leg, whose bound is 0
         if succ in goals and ng < get(succ, ng + 1):
             best_g[succ], parent[succ] = ng, node
-            heappush(frontier, ng * fn + succ)
+            if held: heappush(frontier, held)
+            held = ng * fn + succ
     raise RuntimeError("search space exhausted without reaching the goal")
 
 
