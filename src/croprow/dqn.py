@@ -514,36 +514,37 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
     disagrees with the layer sizes in meta, or the arrays do not share one
     real floating dtype."""
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError(f"{path} holds one array, not an .npz archive")
-        with data:
-            meta = json.loads(str(_archive_array(data, "meta")))
-            try:
-                if meta["format_version"] != CHECKPOINT_VERSION:
-                    raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-                sizes = (meta["input_dim"], *meta["hidden_sizes"], meta["output_dim"])
-                meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
-            except TypeError as exc:
-                raise ValueError(f"malformed checkpoint meta: {exc}") from exc
-            except KeyError as exc:
-                raise ValueError(f"malformed checkpoint meta: no key {exc}") from exc
-            weights, biases = [], []
-            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-                W, b = _archive_array(data, f"W{i}"), _archive_array(data, f"b{i}")
-                if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                    raise ValueError(
-                        f"checkpoint layer {i} has W{i} {W.shape} and b{i} {b.shape}, "
-                        f"but meta gives ({fan_in}, {fan_out})"
-                    )
-                dtype = weights[0].dtype if weights else W.dtype
-                if not (np.issubdtype(dtype, np.floating) and W.dtype == b.dtype == dtype):
-                    raise ValueError(
-                        f"checkpoint layer {i} has W{i} {W.dtype} and b{i} {b.dtype}, "
-                        f"but every layer needs one real floating dtype (W0 has {dtype})"
-                    )
-                weights.append(W)
-                biases.append(b)
+        with open(path, "rb") as handle:  # closed even when the archive is unreadable
+            data = np.load(handle, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError(f"{path} holds one array, not an .npz archive")
+            with data:
+                meta = json.loads(str(_archive_array(data, "meta")))
+                try:
+                    if meta["format_version"] != CHECKPOINT_VERSION:
+                        raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
+                    sizes = (meta["input_dim"], *meta["hidden_sizes"], meta["output_dim"])
+                    meta["train_config"]["hidden_sizes"] = tuple(meta["train_config"]["hidden_sizes"])
+                except TypeError as exc:
+                    raise ValueError(f"malformed checkpoint meta: {exc}") from exc
+                except KeyError as exc:
+                    raise ValueError(f"malformed checkpoint meta: no key {exc}") from exc
+                weights, biases = [], []
+                for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+                    W, b = _archive_array(data, f"W{i}"), _archive_array(data, f"b{i}")
+                    if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+                        raise ValueError(
+                            f"checkpoint layer {i} has W{i} {W.shape} and b{i} {b.shape}, "
+                            f"but meta gives ({fan_in}, {fan_out})"
+                        )
+                    dtype = weights[0].dtype if weights else W.dtype
+                    if not (np.issubdtype(dtype, np.floating) and W.dtype == b.dtype == dtype):
+                        raise ValueError(
+                            f"checkpoint layer {i} has W{i} {W.dtype} and b{i} {b.dtype}, "
+                            f"but every layer needs one real floating dtype (W0 has {dtype})"
+                        )
+                    weights.append(W)
+                    biases.append(b)
     except (EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path} is not a readable .npz archive: {exc}") from exc
     return QNetwork.from_parameters(weights, biases), meta

@@ -7,7 +7,9 @@ themselves.
 
 from __future__ import annotations
 
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -552,6 +554,19 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="layer 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", ["first-half", "first-10-bytes"])
+    def test_truncated_archive_closes_its_file(self, tmp_path, keep):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, toy_net(3), TrainConfig(hidden_sizes=(4, 4)), 5, 42)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2] if keep == "first-half" else raw[:10])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="npz archive"):
+                load_checkpoint(path)
+            gc.collect()  # an unclosed handle warns when it is collected
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestPlanDqn:

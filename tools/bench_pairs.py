@@ -9,8 +9,10 @@ A phase ``WORKLOAD:SEED:SECONDS:PAIRS`` runs ``perfbench/run.py --workload
 WORKLOAD --seed SEED --seconds SECONDS --trace 0`` PAIRS times on each tree;
 pair i runs the parent first when i is odd and the change first when i is
 even.  The file holds the command, the host, every record and, per workload
-and metric, both medians, the parent's interquartile range and the pairs the
-change won.
+and metric over the pairs where both sides gave a result, both medians, the
+parent's interquartile range (null below two pairs) and the pairs the change
+won.  It is rewritten after every run, so a run that dies or an interrupt
+keeps the records taken so far; the exit code is 1 when any run failed.
 """
 
 from __future__ import annotations
@@ -75,22 +77,47 @@ def summarize(recs: list[dict]) -> dict:
             if r["workload"] == workload and r["seed"] == seed:
                 by_pair.setdefault((r["phase"], r["pair"]), {})[r["side"]] = r["metrics"]
         pairs = [p for p in by_pair.values() if len(p) == 2]  # both sides gave a result
+        if not pairs:
+            continue
         metrics = {}
         for metric in pairs[0]["parent"]:
             parent = [p["parent"][metric] for p in pairs]
             change = [p["change"][metric] for p in pairs]
             sign = -1 if metric in LOWER_IS_BETTER else 1
-            q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+            iqr = None  # a spread needs two pairs
+            if len(parent) > 1:
+                q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+                iqr = q3 - q1
             metrics[metric] = {
                 "parent_median": statistics.median(parent),
                 "change_median": statistics.median(change),
                 "ratio": statistics.median(change) / statistics.median(parent),
-                "parent_iqr": q3 - q1,
+                "parent_iqr": iqr,
                 "change_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                 "pairs": len(parent),
             }
         summary[f"{workload}@seed{seed}"] = metrics
     return summary
+
+
+def document(args, argv, shas: dict, recs: list[dict]) -> dict:
+    return {
+        "command": shlex.join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
+        "claim": args.claim,
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
+        "order": "pair i runs the parent first when i is odd, the change first when i is even",
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "blas_threads": {v: os.environ.get(v, "unset") for v in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "loadavg_at_end": list(os.getloadavg()),
+        },
+        "summary": summarize(recs),
+        "records": recs,
+    }
 
 
 def main(argv=None) -> int:
@@ -114,26 +141,9 @@ def main(argv=None) -> int:
                     got = records(phase, side, shas[side], pair, int(seed), code, lines)
                     recs.extend(got)
                     for r in got:
-                        print(f"{workload} seed {seed} pair {pair} {side} {r['workload']}: "
-                              f"{json.dumps(r['metrics'])}", file=sys.stderr)
-    doc = {
-        "command": shlex.join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
-        "claim": args.claim,
-        "parent_sha": shas["parent"],
-        "change_sha": shas["change"],
-        "order": "pair i runs the parent first when i is odd, the change first when i is even",
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "blas_threads": {v: os.environ.get(v, "unset") for v in
-                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-            "loadavg_at_end": list(os.getloadavg()),
-        },
-        "summary": summarize(recs),
-        "records": recs,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+                        result = json.dumps(r["metrics"]) if "metrics" in r else f"no result, exit code {code}"
+                        print(f"{workload} seed {seed} pair {pair} {side} {r['workload']}: {result}", file=sys.stderr)
+                    Path(args.out).write_text(json.dumps(document(args, argv, shas, recs), indent=1) + "\n")
     return 0 if all(r["exit_code"] == 0 for r in recs) else 1
 
 
