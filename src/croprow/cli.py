@@ -178,6 +178,8 @@ def _build_planners(names: list[str], model_path: str | None) -> list[Planner]:
         if name not in PLANNER_NAMES:
             raise ValueError(f"unknown planner {name!r}")
         planner_id = PlannerId(name)
+        if any(p.planner_id is planner_id for p in planners):  # a repeat would run twice
+            raise ValueError(f"planner {name!r} named twice")
         if planner_id is PlannerId.DQN:
             if model_path is None:
                 raise ValueError("planner 'dqn' requires --model")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush, heappushpop
+from heapq import heappush, heappushpop
 
 from croprow.world import (
     BACKWARD,
@@ -62,7 +62,7 @@ class PlanResult:
     planner_id: PlannerId
     success: bool = True
     failure_reason: str | None = None
-    nodes_expanded: int = 0  # A*'s non-stale entries taken, the goal's included
+    nodes_expanded: int = 0  # A*'s entries taken, the goal's included
 
 
 def dedup(actions: list[Action] | tuple[Action, ...]) -> tuple[Action, ...]:
@@ -171,22 +171,25 @@ def plan_heuristic(request: PlanRequest) -> PlanResult:
 
 
 def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[list[RobotState], int]:
-    """The route and the count of non-stale entries taken, the goal's included.
+    """The route and the count of entries taken, the goal's included.
 
-    A node is the int ``(corridor * (len + 2) + y + 1) * 2 + heading``, sorting
-    as its ``(corridor, y + 1, heading)`` tuple.  An interior pose drives to both
-    headlands; a headland pose steps to each neighbouring corridor, flips for free
-    and crosses to the opposite headland; a pose in a goal corridor with the
-    goal's heading also drives straight to the goal.  A node pushed after the
-    start is a headland or goal pose, whose bound h is the corridors to the nearer
-    goal corridor plus the rows to the goal's y.  A heap entry is the int
-    ``(f * H + h) * N + node`` (h < H, node < N): equal f pops the larger g first,
-    then the smaller node (Asai & Fukunaga, AAAI 2016).  Successors are relaxed
-    inline, in that order; a node keeps the first parent that reaches its best g.
-    Each relaxation pushes the held key and holds its own; the next entry is
-    ``heappushpop(frontier, held)``, the held key untouched when below ``frontier[0]``.
-    Keys are unique, so the order is unchanged, and positive, so 0 holds nothing.
-    The route keeps only the poses where y changes, so a headland run is one hop."""
+    A node is the int ``(corridor * (len + 2) + y + 1) * 2 + heading``, ordered as its
+    ``(corridor, y + 1, heading)``.  After the start only headland and goal poses are
+    pushed, and their bound h, corridors to the nearer goal corridor plus rows to the
+    goal's y, is exact.  An entry is the int ``(f * H + h) * N + node``: equal f pops
+    the larger g, then the smaller node (Asai & Fukunaga, AAAI 2016).  Each successor
+    relaxed inline pushes the held key and holds its own.  Keys are unique, so
+    ``heappushpop(frontier, held)`` keeps the order, and positive, so 0 holds none.
+    No entry is stale and each expansion before the goal holds a key (Hart, Nilsson
+    & Raphael, IEEE TSSC 1968): (1) after the start f = g + h >= C*, so a stale
+    entry (f > C*) pops after the goal (f = C*, h = 0); (2) a node popped before the
+    goal has f = C* and optimal g, and had its optimal successor (smaller h) been
+    reached, it and its chain to the goal would pop first.  The free flip is the only
+    optimal move of a wrong-heading pose in a goal corridor; the flip's other optimal
+    parent, the neighbour one corridor out, has the h of the pose's parent, the
+    neighbour's flip: if the parent pops first, the pose pops before the neighbour, so
+    the flip is unreached; if not, the flip pops before the pose and sends the goal
+    ahead.  The route keeps the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
@@ -201,12 +204,10 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     best_g, parent = {origin: 0}, {}  # only the nodes the search reaches, on any width
     get, fn = best_g.get, span * n
     frontier, pops, held = [], 0, (h * span + h) * n + origin  # the start is taken first, alone
-    while frontier or held:
-        f, rest = divmod(heappushpop(frontier, held) if held else heappop(frontier), fn)
+    while held:
+        f, rest = divmod(heappushpop(frontier, held), fn)
         h, node = divmod(rest, n)
         g, held = f - h, 0
-        if g > best_g[node]:
-            continue
         pops += 1
         if node in goals:
             path, y_next = [], -1
@@ -222,9 +223,8 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
         lat = h - dy  # corridors to the nearer goal corridor; a lateral step moves it by at most one
         if 0 < y1 < top:  # drive to the top headland, then to the bottom one
             succ, ng, hs = node + 2 * (top - y1), g + top - y1, lat + top - goal_y1
-            if ng < get(succ, ng + 1):
+            if ng < get(succ, ng + 1):  # the first relaxation after a pop: nothing held
                 best_g[succ], parent[succ] = ng, node
-                if held: heappush(frontier, held)
                 held = ((ng + hs) * span + hs) * n + succ
             succ, ng, hs = node - 2 * y1, g + y1, lat + goal_y1
             if ng < get(succ, ng + 1):
@@ -233,9 +233,8 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
                 held = ((ng + hs) * span + hs) * n + succ
         else:  # flip for free, cross to the opposite headland, step west, step east
             succ = node ^ 1
-            if g < get(succ, g + 1):
+            if g < get(succ, g + 1):  # the first relaxation after a pop: nothing held
                 best_g[succ], parent[succ] = g, node
-                if held: heappush(frontier, held)
                 held = (f * span + h) * n + succ
             succ, ng, hs = node + 2 * (top - 2 * y1), g + top, lat + top - dy
             if ng < get(succ, ng + 1):
@@ -258,7 +257,7 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
             best_g[succ], parent[succ] = ng, node
             if held: heappush(frontier, held)
             held = ng * fn + succ
-    raise RuntimeError("search space exhausted without reaching the goal")
+    raise RuntimeError("an expansion before the goal relaxed nothing")
 
 
 def plan_astar(request: PlanRequest) -> PlanResult:

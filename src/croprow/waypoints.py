@@ -54,16 +54,14 @@ class FieldGeometry:
     headland_offset_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.row_spacing_m > 0:
-            raise ValueError(f"row_spacing_m must be > 0, got {self.row_spacing_m}")
-        if not self.corridor_length_m > 0:
-            raise ValueError(
-                f"corridor_length_m must be > 0, got {self.corridor_length_m}"
-            )
+        for key, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        for key in ("row_spacing_m", "corridor_length_m"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.headland_offset_m < 0:
-            raise ValueError(
-                f"headland_offset_m must be >= 0, got {self.headland_offset_m}"
-            )
+            raise ValueError(f"headland_offset_m must be >= 0, got {self.headland_offset_m}")
 
 
 @dataclass(frozen=True)

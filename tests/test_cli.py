@@ -223,17 +223,25 @@ class TestExport:
         assert digests == PINNED_EXPORT_DIGESTS
 
     @pytest.mark.parametrize(
-        "geometry, frame",
+        "geometry, frame, named",
         [
-            (GEOMETRY + "origin_e = nan\n", "world"),
-            (GEOMETRY + "headland_offset_m = inf\n", "local"),
+            (GEOMETRY + "origin_e = nan\n", "world", "origin_e"),
+            (GEOMETRY + "headland_offset_m = inf\n", "local", "headland_offset_m"),
+            (GEOMETRY + "headland_offset_m = nan\n", "local", "headland_offset_m"),
+            ("row_spacing_m = 1e400\ncorridor_length_m = 20\n", "local", "row_spacing_m"),
+            (GEOMETRY + "heading_rad = inf\n", "world", "heading_rad"),
+            (GEOMETRY + "heading_rad = inf\n", "local", "heading_rad"),
             # finite per point until the route switches past corridor 1.5
-            ("row_spacing_m = 1e308\ncorridor_length_m = 20\n", "local"),
+            ("row_spacing_m = 1e308\ncorridor_length_m = 20\n", "local", "waypoint coordinates"),
         ],
-        ids=["nan-origin-world-frame", "inf-headland-offset", "huge-row-spacing"],
+        ids=[
+            "nan-origin-world-frame", "inf-headland-offset", "nan-headland-offset",
+            "overflowing-row-spacing", "inf-heading-world-frame", "inf-heading-local-frame",
+            "huge-row-spacing",
+        ],
     )
     def test_non_finite_coordinates_exit_1_writing_nothing(
-        self, capsys, tmp_path, geometry, frame
+        self, capsys, tmp_path, geometry, frame, named
     ):
         plan_path = self.make_plan_json(capsys, tmp_path)
         geometry_path = tmp_path / "geom.cfg"
@@ -245,6 +253,8 @@ class TestExport:
             "--output-dir", str(out_dir), "--frame", frame,
         )
         assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {named}")
         assert "finite" in err
         assert out == ""
         assert not out_dir.exists()
@@ -388,6 +398,26 @@ class TestBench:
             f"error: [Errno 17] File exists: '{taken}'"
         ]
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "planners, form",
+        [("astar,astar", ["--rows", "6"]), ("heuristic,astar,heuristic", ["--scaling", "4,6"])],
+        ids=["rows", "scaling"],
+    )
+    def test_repeated_planner_exits_1_making_nothing(self, capsys, tmp_path, planners, form):
+        # a repeat would add a second set of CSV rows, or overwrite its first sweep
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys,
+            "bench", "--planners", planners, "--n", "2", *form, "--len", "5",
+            "--output-dir", str(out_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: planner '{planners.split(',')[0]}' named twice"
+        ]
+        assert not out_dir.exists()
 
     def test_unknown_planner_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,10 @@ class TestGeometry:
             FieldGeometry(row_spacing_m=1.0, corridor_length_m=-1.0)
         with pytest.raises(ValueError):
             FieldGeometry(1.0, 1.0, headland_offset_m=-0.5)
+        for key in [f.name for f in fields(FieldGeometry)]:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{key} must be finite, got {bad}$"):
+                    FieldGeometry(**{"row_spacing_m": 1.0, "corridor_length_m": 1.0, key: bad})
 
     def test_metric_y_endpoints(self):
         field = FieldSpec(3, 10)
