@@ -176,8 +176,8 @@ class TestAStar:
 
 class TestOptimalityExhaustive:
     def test_all_instances_on_small_fields(self):
-        # 11,900 pose x goal requests; A* raises if it runs out of held keys
-        # before the goal, and a stale pop would move the pinned pop digests
+        # 11,900 pose x goal requests; A* raises if an expansion before the
+        # goal leaves no key held
         for rows in range(2, 7):
             for length in range(1, 6):
                 field = FieldSpec(rows, length)
