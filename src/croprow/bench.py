@@ -234,8 +234,8 @@ def scaling_sweep(
     repetitions: int = 1,
 ) -> list[SizeResult]:
     """Mean planning time as the field widens; same seed, same instances."""
-    if sorted(sizes) != list(sizes):
-        raise ValueError("sizes must be ascending")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly ascending")
     master = np.random.default_rng(seed)
     out: list[SizeResult] = []
     for num_rows in sizes:

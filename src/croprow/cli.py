@@ -47,7 +47,8 @@ from croprow.planners import (
     plan_heuristic,
 )
 from croprow.waypoints import (
-    compile_route,
+    _path_from_legs,
+    compile_route,  # noqa: F401 - not called here; perfbench/workloads.py traces cli.compile_route
     load_geometry,
     to_world,
     write_csv,
@@ -158,10 +159,10 @@ def _parse_stages(text: str) -> list[int]:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    """--scaling: ascending comma-separated sizes."""
+    """--scaling: strictly ascending comma-separated sizes, so none is swept twice."""
     sizes = [_convert(int, part, "--scaling") for part in text.split(",") if part]
-    if not sizes or sorted(sizes) != sizes:
-        raise ValueError(f"--scaling sizes must be ascending, got {text!r}")
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"--scaling sizes must be strictly ascending, got {text!r}")
     return sizes
 
 
@@ -227,10 +228,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not names:
         raise ValueError("--planners names no planner")
     planners = _build_planners(names, args.model)
+    sizes = _parse_sizes(args.scaling) if args.scaling else None
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before any planning, which can take minutes
-    if args.scaling:
-        sizes = _parse_sizes(args.scaling)
+    if sizes:
         doc = {}
         for planner in planners:
             results = scaling_sweep(
@@ -369,10 +370,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     start, goal = RobotState(float(x), start[1], start[2]), GoalSpec(*goal)
     raw = _action_pairs(doc["raw_actions"], "raw_actions")
     macros = dedup(raw)
-    if expand_macro_legs(field, start, macros, goal)[0] != raw:  # a turn inside a corridor, say
+    replayed, legs = expand_macro_legs(field, start, macros, goal)
+    if replayed != raw:  # a turn inside a corridor, say
         raise ValueError("plan JSON raw_actions are not what their macros replay to")
     geometry = load_geometry(args.geometry)
-    path = compile_route(macros, start, field, geometry, goal=goal)
+    path = _path_from_legs(macros, legs, start, field, geometry)
     if args.frame == "world":
         path = to_world(path, geometry)
     out_dir = Path(args.output_dir)

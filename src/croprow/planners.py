@@ -9,9 +9,11 @@ Two planners produce provably shortest routes:
 * :func:`plan_astar` searches a compact implicit graph whose nodes are
   corridor/headland waypoints, held as integer ids that sort as their
   ``(corridor, y + 1, heading)`` tuples, on a heap of one-int keys, with a
-  closed-form Manhattan-style bound and ties broken toward larger g, relaxing
-  each successor inline and holding back the last one's key for the next pop,
-  and counts the nodes it expands.
+  closed-form Manhattan-style bound and ties broken toward larger g.  The bound
+  is exact after the start, so a headland pose generates only the successors
+  that keep its f (as in Enhanced Partial Expansion A*), relaxes them inline and
+  holds back the last one's key for the next pop; it counts the nodes it
+  expands.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the macro form used by the deployment pipeline, where
@@ -180,22 +182,25 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     the larger g, then the smaller node (Asai & Fukunaga, AAAI 2016).  Each successor
     relaxed inline pushes the held key and holds its own.  Keys are unique, so
     ``heappushpop(frontier, held)`` keeps the order, and positive, so 0 holds none.
-    No entry is stale and each expansion before the goal holds a key (Hart, Nilsson
-    & Raphael, IEEE TSSC 1968): (1) after the start f = g + h >= C*, so a stale
-    entry (f > C*) pops after the goal (f = C*, h = 0); (2) a node popped before the
-    goal has f = C* and optimal g, and had its optimal successor (smaller h) been
-    reached, it and its chain to the goal would pop first.  The free flip is the only
-    optimal move of a wrong-heading pose in a goal corridor; the flip's other optimal
-    parent, the neighbour one corridor out, has the h of the pose's parent, the
-    neighbour's flip: if the parent pops first, the pose pops before the neighbour, so
-    the flip is unreached; if not, the flip pops before the pose and sends the goal
-    ahead.  The route keeps the poses where y changes, so a headland run is one hop."""
+    With the exact bound every entry after the start has f >= C*, and the goal pops with
+    f = C* and h = 0, so an entry with f > C* is never taken (Hart, Nilsson & Raphael,
+    IEEE TSSC 1968).  So a headland pose generates only the successors that keep its f,
+    picked in closed form as in EPEA* (Felner et al., "Partial-Expansion A* with
+    Selective Node Generation", AAAI 2012): outside the goal corridors the step toward
+    them, inside one the free flip, and the goal leg.  The crossing raises f by
+    2 (top - dy) > 0 and a step away from the goal by 1 or 2, so EPEA*'s re-insertion
+    of the parent is never needed.  Outside a goal corridor the flip twin has its parent's g, h
+    and moves, and the lateral successor (h - 1) pops before it, so it never pops before
+    the goal.  Every pose keeps the start's heading until a flip in a goal corridor, so
+    each one is reached once, and a pop before the goal relaxes its successor: a flip
+    twin already reached is the pose's parent, which relaxed the goal that then pops
+    first.  The route keeps the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
-    top, last, goal_y1 = field.corridor_len + 1, field.num_rows - 2, int(goal.goal_y) + 1
+    top, goal_y1 = field.corridor_len + 1, int(goal.goal_y) + 1
     width, span = 2 * top + 2, field.num_rows + field.corridor_len  # ids per corridor, H
-    n = (last + 1) * width
+    n = (field.num_rows - 1) * width
     goals = {int(c.corridor_x - 0.5) * width + 2 * goal_y1 + c.orientation for c in configs}
     lo, hi = int(configs[-1].corridor_x - 0.5), int(configs[0].corridor_x - 0.5)
     corridor, y1 = int(start.corridor_x - 0.5), int(start.y) + 1
@@ -231,27 +236,14 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
                 best_g[succ], parent[succ] = ng, node
                 if held: heappush(frontier, held)
                 held = ((ng + hs) * span + hs) * n + succ
-        else:  # flip for free, cross to the opposite headland, step west, step east
-            succ = node ^ 1
-            if g < get(succ, g + 1):  # the first relaxation after a pop: nothing held
-                best_g[succ], parent[succ] = g, node
-                held = (f * span + h) * n + succ
-            succ, ng, hs = node + 2 * (top - 2 * y1), g + top, lat + top - dy
-            if ng < get(succ, ng + 1):
+        elif lat:  # one corridor toward the goal corridors; f stays, h falls by one
+            succ, ng = node + (-width if corridor > hi else width), g + 1
+            if ng < get(succ, ng + 1):  # the first relaxation after a pop: nothing held
                 best_g[succ], parent[succ] = ng, node
-                if held: heappush(frontier, held)
-                held = ((ng + hs) * span + hs) * n + succ
-            ng = g + 1
-            if corridor > 0 and ng < get(node - width, ng + 1):
-                succ, hs = node - width, h + (1 if corridor <= lo else -1 if corridor > hi else 0)
-                best_g[succ], parent[succ] = ng, node
-                if held: heappush(frontier, held)
-                held = ((ng + hs) * span + hs) * n + succ
-            if corridor < last and ng < get(node + width, ng + 1):
-                succ, hs = node + width, h + (1 if corridor >= hi else -1 if corridor < lo else 0)
-                best_g[succ], parent[succ] = ng, node
-                if held: heappush(frontier, held)
-                held = ((ng + hs) * span + hs) * n + succ
+                held = (f * span + h - 1) * n + succ
+        elif g < get(node ^ 1, g + 1):  # in a goal corridor the flip is free and the heading picks the goal
+            best_g[node ^ 1], parent[node ^ 1] = g, node
+            held = (f * span + h) * n + (node ^ 1)
         succ, ng = node + 2 * (goal_y1 - y1), g + dy  # the goal leg, whose bound is 0
         if succ in goals and ng < get(succ, ng + 1):
             best_g[succ], parent[succ] = ng, node

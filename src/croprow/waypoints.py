@@ -121,6 +121,11 @@ def compile_route(
     """
     macros = list(macro_actions)
     _, legs = expand_macro_legs(field, start, macros, goal=goal)
+    return _path_from_legs(macros, legs, start, field, geometry)
+
+
+def _path_from_legs(macros, legs, start: RobotState, field: FieldSpec, geometry: FieldGeometry) -> WaypointPath:
+    """compile_route's polyline from the legs expand_macro_legs gave for the macros."""
     points: list[Waypoint] = []
     for i, (macro, leg) in enumerate(zip(macros, legs)):
         if macro.move >= 2:
