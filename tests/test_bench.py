@@ -331,6 +331,10 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             scaling_sweep(HEURISTIC, [8, 4], seed=1)
 
+    def test_rejects_repeated_sizes(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            scaling_sweep(HEURISTIC, [4, 8, 8], seed=1, instances_per_size=1)
+
 
 @settings(max_examples=30, deadline=None)
 @given(

@@ -358,6 +358,22 @@ class TestBench:
             ["num_rows", "instances", "mean_time_ns", "success_rate"]
         ] * 2
 
+    @pytest.mark.parametrize("sizes", ["4,4", "4,8,8", "8,4"])
+    def test_scaling_sizes_not_strictly_ascending_exit_1_making_nothing(self, capsys, tmp_path, sizes):
+        # a repeated size would be swept, printed and written twice
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys,
+            "bench", "--planners", "heuristic", "--scaling", sizes, "--n", "2",
+            "--len", "5", "--output-dir", str(out_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: --scaling sizes must be strictly ascending, got {sizes!r}"
+        ]
+        assert not out_dir.exists()
+
     def test_scaling_honours_repetitions(self, capsys, tmp_path, monkeypatch):
         calls = []
         plan = cli.plan_heuristic

@@ -226,8 +226,8 @@ class TestOptimalityExhaustive:
                 replay = simulate(field, start, goal, list(result.raw_actions))
                 assert replay.success, replay.failure_reason
                 assert replay.total_distance == result.path_length
-        # the lateral steps at both field edges and the one-config goals on
-        # rows 0 and 11 are common here, unlike on the seeded suites
+        # starts at both field edges and the one-config goals on rows 0 and
+        # 11 are common here, unlike on the seeded suites
         assert _digest(pops) == FIELD_12_ASTAR_POPS_DIGEST
 
 
@@ -302,6 +302,26 @@ def test_astar_memory_follows_the_search_not_the_field():
     result = plan_astar(request)
     assert (result.path_length, result.nodes_expanded) == (10.0, 5)
     assert result.macro_actions == plan_heuristic(request).macro_actions
+
+
+def test_astar_pushes_at_most_two_heap_entries_per_plan(monkeypatch):
+    # a headland pose generates only the successors that keep f, so only an
+    # interior start's second drive and a goal corridor's flip beside the goal
+    # leg reach the heap; the full graph pushed up to 1,851 entries per plan
+    push, pushes = planners.heappush, []
+    monkeypatch.setattr(planners, "heappush", lambda heap, key: pushes.append(key) or push(heap, key))
+    field = FieldSpec(12, 6)
+    requests = [inst.request() for inst in generate_instances(FieldSpec(1000, 10), 100, seed=11)]
+    requests += [
+        PlanRequest(field, start, GoalSpec(row, gy))
+        for row in range(12)
+        for gy in range(6)
+        for start in all_states(field)
+    ]
+    for request in requests:
+        pushes.clear()
+        plan_astar(request)
+        assert len(pushes) <= 2, request
 
 
 @given(plan_instances())
