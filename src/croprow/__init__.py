@@ -1,37 +1,3 @@
 """Planning engine and benchmark harness for sampling-point navigation in row-crop fields."""
 
-from croprow.world import (
-    Action,
-    Episode,
-    FieldSpec,
-    GoalSpec,
-    IllegalActionError,
-    RobotState,
-    SimulationResult,
-    StepOutcome,
-    goal_configs,
-    is_goal,
-    observe,
-    oracle_shortest,
-    simulate,
-    step,
-)
-
-__all__ = [
-    "Action",
-    "Episode",
-    "FieldSpec",
-    "GoalSpec",
-    "IllegalActionError",
-    "RobotState",
-    "SimulationResult",
-    "StepOutcome",
-    "goal_configs",
-    "is_goal",
-    "observe",
-    "oracle_shortest",
-    "simulate",
-    "step",
-]
-
 __version__ = "0.1.0"

@@ -137,11 +137,15 @@ def _parse_actions(text: str) -> list[Action]:
     return _action_pairs(doc, "actions")
 
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    return _count(text, 0)  # numpy's generators take no negative seed
 
 
 def _parse_stages(text: str) -> list[int]:
@@ -417,7 +421,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", help="checkpoint path (required for dqn)")
     p.add_argument("--scaling", help="comma list of sizes, e.g. 10,65,200")
     p.add_argument("--repetitions", type=_count, default=1, help="timed reps per instance")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--output-dir", default=".", help="directory for generated files")
     p.set_defaults(func=cmd_bench)
 
@@ -426,7 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=_count, required=True, help="env steps per stage")
     p.add_argument("--len", type=int, default=10)
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", help="replay an action sequence")

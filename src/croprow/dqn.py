@@ -442,7 +442,7 @@ def evaluate(
 ) -> float:
     """Success rate of :func:`plan_dqn` over ``generate_instances(field, episodes, seed)``."""
     instances = generate_instances(field, episodes, seed)
-    return sum(plan_dqn(PlanRequest(i.field, i.start, i.goal), net).success for i in instances) / episodes
+    return sum(plan_dqn(i.request(), net).success for i in instances) / episodes
 
 
 def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:

@@ -68,7 +68,8 @@ class PlanResult:
 
 
 def dedup(actions: list[Action] | tuple[Action, ...]) -> tuple[Action, ...]:
-    """Collapse consecutive repeats into macro actions."""
+    """Collapse consecutive repeats into macro actions: a macro is an action that
+    differs from the one before it, for every planner and for export."""
     out: list[Action] = []
     for action in actions:
         if not out or out[-1] != action:
@@ -121,10 +122,8 @@ def _plan_from_route(route: list[RobotState], planner_id: PlannerId, nodes_expan
     |dy|.  A vertical hop becomes unit moves with the hop's heading, preceded
     by one switch action carrying that heading when it starts in another
     corridor than the last vertical run; headland hops, which may span several
-    corridors, carry no action of their own.  A macro is an action that
-    differs from the one before it."""
+    corridors, carry no action of their own.  The macros are :func:`dedup`'s."""
     raw: list[Action] = []
-    macros: list[Action] = []
     length = 0.0
     corridor = route[0].corridor_x
     for prev, cur in zip(route, route[1:]):
@@ -133,14 +132,10 @@ def _plan_from_route(route: list[RobotState], planner_id: PlannerId, nodes_expan
             continue
         if cur.corridor_x != corridor:
             raw.append(Action(cur.orientation, int(cur.corridor_x + 1.5)))
-            macros.append(raw[-1])  # a switch, unlike any vertical action
             corridor = cur.corridor_x
         move = FORWARD if (cur.y > prev.y) == (cur.orientation == UP) else BACKWARD
-        action = Action(cur.orientation, move)
-        if not macros or macros[-1] != action:
-            macros.append(action)
-        raw += [action] * int(abs(cur.y - prev.y))  # y may be 2.0
-    return PlanResult(tuple(raw), tuple(macros), length, planner_id, nodes_expanded=nodes_expanded)
+        raw += [Action(cur.orientation, move)] * int(abs(cur.y - prev.y))  # y may be 2.0
+    return PlanResult(tuple(raw), dedup(raw), length, planner_id, nodes_expanded=nodes_expanded)
 
 
 def _heuristic_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> list[RobotState]:

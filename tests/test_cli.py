@@ -7,6 +7,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1058,6 +1059,24 @@ def test_counts_below_one_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["bench", "--planners", "heuristic", "--n", "2", "--seed", "-3", "--output-dir", "out"],
+        ["bench", "--planners", "heuristic", "--scaling", "4", "--n", "2", "--seed", "-3", "--output-dir", "out"],
+        ["train", "--stages", "3", "--steps", "5", "--seed", "-1", "--out", "m.npz"],
+    ],
+)
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0] and "at least 0" in errors[0]
+    assert list(tmp_path.iterdir()) == []  # no output directory, no checkpoint
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["plan", "--planner", "heuristic", *WHERE, "--seed", "1"],
         ["plan", "--planner", "heuristic", *WHERE, "--output-dir", "out"],
         ["plan", "--planner", "heuristic", *WHERE, "--format", "csv"],
@@ -1078,22 +1097,34 @@ def test_removed_no_op_options_exit_1(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_module_entry_point():
-    # the child imports the package from where this process found it
+def _run_module(*argv):
+    """``python -m croprow`` in a child that imports the package from where this
+    process found it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "croprow",
-            "plan", "--planner", "heuristic", "--rows", "4", "--len", "5",
-            "--start", "1.5,2,0", "--goal", "2,4",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "croprow", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
+
+
+def test_module_entry_point():
+    proc = _run_module(
+        "plan", "--planner", "heuristic", "--rows", "4", "--len", "5", "--start", "1.5,2,0", "--goal", "2,4"
+    )
     assert proc.returncode == 0
     assert "macro [[0,0],[1,0]]" in proc.stdout
+
+
+def test_version_entry_points_print_the_project_version(capsys):
+    # read with a regex: tomllib is not in Python 3.10
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M).group(1)
+    assert run_cli(capsys, "--version")[:2] == (0, f"{version}\n")
+    proc = _run_module("--version")
+    assert (proc.returncode, proc.stdout) == (0, f"{version}\n")
 
 
 class _ClosedStderr:

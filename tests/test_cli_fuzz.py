@@ -40,7 +40,7 @@ def pick(valid, bad):
 ROWS = pick(("3", "4", "6"), ("-1", "1", "x"))
 LENS = pick(("3", "5"), ("0", "1", "x"))
 COUNTS = pick(("1", "2"), ("-3", "0", "x"))
-SEEDS = pick(("0", "7"), ("x",))
+SEEDS = pick(("0", "7"), ("-1", "x"))
 OUT_DIRS = pick(("out",), ("plan.json/out",))
 START = (
     st.tuples(st.sampled_from((0.5, 1.5)), st.integers(-1, 3), st.integers(0, 1)).map(
