@@ -138,7 +138,10 @@ def _parse_actions(text: str) -> list[Action]:
 
 
 def _count(text: str, least: int = 1) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function, not the int it expects
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
@@ -175,7 +178,7 @@ def _echo_config(args: argparse.Namespace) -> None:
     _log("config: " + " ".join(f"{k}={v}" for k, v in shown.items()))
 
 
-def _build_planners(names: list[str], model_path: str | None) -> list[Planner]:
+def _build_planners(names: list[str], model_path: str | None, rows: int) -> list[Planner]:
     # looked up per call, so a patched module global is the one called
     registry = {PlannerId.HEURISTIC: plan_heuristic, PlannerId.GRAPH_ASTAR: plan_astar}
     planners = []
@@ -189,6 +192,8 @@ def _build_planners(names: list[str], model_path: str | None) -> list[Planner]:
             if model_path is None:
                 raise ValueError("planner 'dqn' requires --model")
             net, _ = load_checkpoint(model_path)
+            if rows > net.max_rows:  # checked before bench generates or writes anything
+                raise ValueError(f"field has {rows} rows but the network covers {net.max_rows}")
             registry[planner_id] = lambda request, _net=net: plan_dqn(request, _net)
         planners.append(Planner(planner_id, registry[planner_id]))
     return planners
@@ -198,7 +203,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     field = FieldSpec(args.rows, args.len)
     start, goal = _parse_start_goal(args)
     request = PlanRequest(field, start, goal)
-    result, elapsed_ns = timed_call(_build_planners([args.planner], args.model)[0], request)
+    result, elapsed_ns = timed_call(_build_planners([args.planner], args.model, args.rows)[0], request)
     if args.format == "json":
         doc = {
             "planner": result.planner_id.value,
@@ -231,11 +236,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     names = [part for part in args.planners.split(",") if part]
     if not names:
         raise ValueError("--planners names no planner")
-    planners = _build_planners(names, args.model)
-    sizes = _parse_sizes(args.scaling) if args.scaling else None
+    sizes = _parse_sizes(args.scaling) if args.scaling else [args.rows]
+    fields = [FieldSpec(rows, args.len) for rows in sizes]  # each size checked before the mkdir
+    planners = _build_planners(names, args.model, sizes[-1])
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before any planning, which can take minutes
-    if sizes:
+    if args.scaling:
         doc = {}
         for planner in planners:
             results = scaling_sweep(
@@ -259,9 +265,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             fh.write("\n")
         _log(f"wrote {out_dir / 'scaling.json'}")
         return 0
-    field = FieldSpec(args.rows, args.len)
     _log(f"generating {args.n} instances at rows={args.rows} len={args.len}")
-    instances = generate_instances(field, args.n, args.seed)
+    instances = generate_instances(fields[0], args.n, args.seed)
     records = run_benchmark(planners, instances, repetitions=args.repetitions)
     report = emit_report(records, out_dir)
     _out(report["table"])

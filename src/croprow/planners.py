@@ -12,8 +12,8 @@ Two planners produce provably shortest routes:
   closed-form Manhattan-style bound and ties broken toward larger g.  The bound
   is exact after the start, so a headland pose generates only the successors
   that keep its f (as in Enhanced Partial Expansion A*), relaxes them inline and
-  holds back the last one's key for the next pop; it counts the nodes it
-  expands.
+  holds back the last one's key for the next pop.  Each pose is reached once,
+  so a parent link is all it records per pose; it counts the nodes it expands.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the macro form used by the deployment pipeline, where
@@ -186,10 +186,10 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     2 (top - dy) > 0 and a step away from the goal by 1 or 2, so EPEA*'s re-insertion
     of the parent is never needed.  Outside a goal corridor the flip twin has its parent's g, h
     and moves, and the lateral successor (h - 1) pops before it, so it never pops before
-    the goal.  Every pose keeps the start's heading until a flip in a goal corridor, so
-    each one is reached once, and a pop before the goal relaxes its successor: a flip
-    twin already reached is the pose's parent, which relaxed the goal that then pops
-    first.  The route keeps the poses where y changes, so a headland run is one hop."""
+    the goal.  Every pose keeps the start's heading until a flip in a goal corridor, so each
+    is reached once, by a least-g path, and the search keeps its parent but no g.  The flip
+    back to a pose's own parent is skipped: that parent relaxed the goal, which pops first.
+    The route keeps the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
@@ -201,8 +201,7 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     corridor, y1 = int(start.corridor_x - 0.5), int(start.y) + 1
     origin = corridor * width + 2 * y1 + int(start.orientation)
     h = (lo - corridor if corridor < lo else corridor - hi if corridor > hi else 0) + abs(y1 - goal_y1)
-    best_g, parent = {origin: 0}, {}  # only the nodes the search reaches, on any width
-    get, fn = best_g.get, span * n
+    parent, fn = {}, span * n  # the nodes the search reaches, on any width, each to its parent
     frontier, pops, held = [], 0, (h * span + h) * n + origin  # the start is taken first, alone
     while held:
         f, rest = divmod(heappushpop(frontier, held), fn)
@@ -222,26 +221,22 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
         dy = abs(y1 - goal_y1)
         lat = h - dy  # corridors to the nearer goal corridor; a lateral step moves it by at most one
         if 0 < y1 < top:  # drive to the top headland, then to the bottom one
-            succ, ng, hs = node + 2 * (top - y1), g + top - y1, lat + top - goal_y1
-            if ng < get(succ, ng + 1):  # the first relaxation after a pop: nothing held
-                best_g[succ], parent[succ] = ng, node
-                held = ((ng + hs) * span + hs) * n + succ
+            succ, hs = node + 2 * (top - y1), lat + top - goal_y1
+            parent[succ] = node
+            heappush(frontier, ((g + top - y1 + hs) * span + hs) * n + succ)
             succ, ng, hs = node - 2 * y1, g + y1, lat + goal_y1
-            if ng < get(succ, ng + 1):
-                best_g[succ], parent[succ] = ng, node
-                if held: heappush(frontier, held)
-                held = ((ng + hs) * span + hs) * n + succ
+            parent[succ] = node
+            held = ((ng + hs) * span + hs) * n + succ
         elif lat:  # one corridor toward the goal corridors; f stays, h falls by one
-            succ, ng = node + (-width if corridor > hi else width), g + 1
-            if ng < get(succ, ng + 1):  # the first relaxation after a pop: nothing held
-                best_g[succ], parent[succ] = ng, node
-                held = (f * span + h - 1) * n + succ
-        elif g < get(node ^ 1, g + 1):  # in a goal corridor the flip is free and the heading picks the goal
-            best_g[node ^ 1], parent[node ^ 1] = g, node
+            succ = node + (-width if corridor > hi else width)
+            parent[succ] = node
+            held = (f * span + h - 1) * n + succ
+        elif parent.get(node) != node ^ 1:  # in a goal corridor the flip is free and the heading picks the goal
+            parent[node ^ 1] = node
             held = (f * span + h) * n + (node ^ 1)
         succ, ng = node + 2 * (goal_y1 - y1), g + dy  # the goal leg, whose bound is 0
-        if succ in goals and ng < get(succ, ng + 1):
-            best_g[succ], parent[succ] = ng, node
+        if succ in goals:
+            parent[succ] = node
             if held: heappush(frontier, held)
             held = ng * fn + succ
     raise RuntimeError("an expansion before the goal relaxed nothing")

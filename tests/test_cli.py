@@ -1075,6 +1075,76 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, tmp_path, monkey
 
 
 @pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["bench", "--planners", "heuristic", "--seed", "x", "--output-dir", "out"], "x"),
+        (["bench", "--planners", "heuristic", "--n", "x", "--output-dir", "out"], "x"),
+        (["bench", "--planners", "heuristic", "--repetitions", "1.5", "--output-dir", "out"], "1.5"),
+        (["bench", "--planners", "heuristic", "--scaling", "4", "--seed", "x", "--output-dir", "out"], "x"),
+        (["bench", "--planners", "heuristic", "--scaling", "4", "--n", "x", "--output-dir", "out"], "x"),
+        (["train", "--stages", "3", "--steps", "x", "--out", "m.npz"], "x"),
+        (["train", "--stages", "3", "--steps", "5", "--seed", "x", "--out", "m.npz"], "x"),
+    ],
+)
+def test_non_integer_count_or_seed_names_the_int_expected(capsys, tmp_path, monkeypatch, argv, value):
+    # as --rows x does, not the name of the private function that parses it
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"invalid int value: {value!r}"), errors
+    assert list(tmp_path.iterdir()) == []  # no output directory, no checkpoint
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        (["--rows", "1"], "num_rows must be >= 2, got 1"),
+        (["--len", "0"], "corridor_len must be >= 1, got 0"),
+        (["--scaling", "1,5"], "num_rows must be >= 2, got 1"),
+        (["--scaling", "4,5", "--len", "0"], "corridor_len must be >= 1, got 0"),
+    ],
+)
+def test_bench_bad_field_size_exits_1_making_no_directory(capsys, tmp_path, form, message):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "bench", "--planners", "heuristic", "--n", "2", *form, "--output-dir", str(out_dir)
+    )
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("form", [["--rows", "65"], ["--scaling", "4,65"]], ids=["rows", "scaling"])
+def test_bench_model_narrower_than_the_field_exits_1_as_plan_does(capsys, tmp_path, monkeypatch, form):
+    # it used to write a 0%-success dqn row of per-instance planner errors
+    model = tmp_path / "narrow.npz"
+    save_checkpoint(model, QNetwork(10, (8,)), TrainConfig(hidden_sizes=(8,)), 4, 0)
+    generated = []
+    monkeypatch.setattr(cli, "generate_instances", lambda *a: generated.append(a) or [])
+    monkeypatch.setattr(cli, "scaling_sweep", lambda *a, **k: generated.append(a) or [])
+    code, _, err = run_cli(
+        capsys, "plan", "--planner", "dqn", "--model", str(model),
+        "--rows", "65", "--len", "10", "--start", "0.5,3,0", "--goal", "40,4",
+    )
+    assert code == 1
+    plan_errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert plan_errors == ["error: field has 65 rows but the network covers 4"]
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "bench", "--planners", "astar,dqn", "--model", str(model), "--n", "2", *form,
+        "--output-dir", str(out_dir),
+    )
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == plan_errors
+    assert generated == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["plan", "--planner", "heuristic", *WHERE, "--seed", "1"],
