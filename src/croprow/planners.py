@@ -187,9 +187,9 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     of the parent is never needed.  Outside a goal corridor the flip twin has its parent's g, h
     and moves, and the lateral successor (h - 1) pops before it, so it never pops before
     the goal.  Every pose keeps the start's heading until a flip in a goal corridor, so each
-    is reached once, by a least-g path, and the search keeps its parent but no g.  The flip
-    back to a pose's own parent is skipped: that parent relaxed the goal, which pops first.
-    The route keeps the poses where y changes, so a headland run is one hop."""
+    is reached once, by a least-g path, and keeps only a parent.  The flip back to a pose's
+    own parent is skipped: when the pose's goal leg misses, the parent's reached the goal,
+    which pops first.  The route keeps the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0

@@ -38,4 +38,3 @@ def test_changed_route_or_pops_prints_differs_and_exits_1(tool, capsys, monkeypa
     monkeypatch.setattr(tool, "_astar_route", lambda *request: change(*search(*request)))
     assert tool.main() == 1
     assert capsys.readouterr().out.split()[-1] == "DIFFERS"
-

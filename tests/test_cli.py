@@ -1119,7 +1119,7 @@ def test_bench_bad_field_size_exits_1_making_no_directory(capsys, tmp_path, form
 
 @pytest.mark.parametrize("form", [["--rows", "65"], ["--scaling", "4,65"]], ids=["rows", "scaling"])
 def test_bench_model_narrower_than_the_field_exits_1_as_plan_does(capsys, tmp_path, monkeypatch, form):
-    # it used to write a 0%-success dqn row of per-instance planner errors
+    # run per instance, the width error would only show as a 0%-success dqn row
     model = tmp_path / "narrow.npz"
     save_checkpoint(model, QNetwork(10, (8,)), TrainConfig(hidden_sizes=(8,)), 4, 0)
     generated = []
