@@ -137,12 +137,15 @@ def _parse_actions(text: str) -> list[Action]:
     return _action_pairs(doc, "actions")
 
 
-def _count(text: str, least: int = 1) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:  # argparse would name this function, not the int it expects
+        return int(text)
+    except ValueError:  # argparse would name the type function, not the int it expects
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < least:
+
+
+def _count(text: str, least: int = 1) -> int:
+    if (value := _int(text)) < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
 
@@ -151,36 +154,34 @@ def _seed(text: str) -> int:
     return _count(text, 0)  # numpy's generators take no negative seed
 
 
-def _parse_stages(text: str) -> list[int]:
-    """--stages: either a single width ("5") or a range with step ("5..65:5")."""
-    if ".." not in text:
-        return [_convert(int, text, "--stages")]
-    first_text, _, rest = text.partition("..")
-    last_text, _, step_text = rest.partition(":")
-    if not step_text:
-        raise ValueError(f"--stages range needs a step, e.g. 5..65:5, got {text!r}")
-    first, last, step = (_convert(int, t, "--stages") for t in (first_text, last_text, step_text))
-    if step <= 0 or last < first:
-        raise ValueError(f"--stages: bad range {text!r}")
-    return list(range(first, last + 1, step))
-
-
-def _parse_sizes(text: str) -> list[int]:
-    """--scaling: strictly ascending comma-separated sizes, so none is swept twice."""
-    sizes = [_convert(int, part, "--scaling") for part in text.split(",") if part]
-    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"--scaling sizes must be strictly ascending, got {text!r}")
-    return sizes
+def _widths(text: str) -> list[int]:
+    """Field widths for --rows and --stages: comma-separated parts, each an int
+    or an inclusive range A..B:S, strictly ascending so that no width runs twice."""
+    widths = []
+    for part in text.split(","):
+        first, dots, rest = part.partition("..")
+        last, colon, step = rest.partition(":")
+        if dots and not colon:
+            raise argparse.ArgumentTypeError(f"range needs a step, e.g. 5..65:5, got {part!r}")
+        first, last, step = map(_int, (first, last, step) if dots else (part, part, "1"))  # A is A..A:1
+        if step < 1 or last < first:
+            raise argparse.ArgumentTypeError(f"range must ascend by a step of at least 1, got {part!r}")
+        widths += range(first, last + 1, step)
+    if any(b <= a for a, b in zip(widths, widths[1:])):
+        raise argparse.ArgumentTypeError(f"widths must be strictly ascending, got {text!r}")
+    return widths
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    shown = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    _log("config: " + " ".join(f"{k}={v}" for k, v in shown.items()))
+    shown = [(k, ",".join(map(str, v)) if isinstance(v, list) else v) for k, v in sorted(vars(args).items())]
+    _log("config: " + " ".join(f"{k}={v}" for k, v in shown if k != "func" and v is not None))
 
 
 def _build_planners(names: list[str], model_path: str | None, rows: int) -> list[Planner]:
     # looked up per call, so a patched module global is the one called
     registry = {PlannerId.HEURISTIC: plan_heuristic, PlannerId.GRAPH_ASTAR: plan_astar}
+    if model_path is not None and PlannerId.DQN.value not in names:  # it would go unread
+        raise ValueError("--model is read only by planner 'dqn'")
     planners = []
     for name in names:
         if name not in PLANNER_NAMES:
@@ -192,8 +193,7 @@ def _build_planners(names: list[str], model_path: str | None, rows: int) -> list
             if model_path is None:
                 raise ValueError("planner 'dqn' requires --model")
             net, _ = load_checkpoint(model_path)
-            if rows > net.max_rows:  # checked before bench generates or writes anything
-                raise ValueError(f"field has {rows} rows but the network covers {net.max_rows}")
+            net.max_rows_for(rows)  # before bench generates or writes anything
             registry[planner_id] = lambda request, _net=net: plan_dqn(request, _net)
         planners.append(Planner(planner_id, registry[planner_id]))
     return planners
@@ -236,17 +236,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     names = [part for part in args.planners.split(",") if part]
     if not names:
         raise ValueError("--planners names no planner")
-    sizes = _parse_sizes(args.scaling) if args.scaling else [args.rows]
-    fields = [FieldSpec(rows, args.len) for rows in sizes]  # each size checked before the mkdir
-    planners = _build_planners(names, args.model, sizes[-1])
+    fields = [FieldSpec(rows, args.len) for rows in args.rows]  # each size checked before the mkdir
+    planners = _build_planners(names, args.model, args.rows[-1])
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before any planning, which can take minutes
-    if args.scaling:
+    if len(args.rows) > 1:
         doc = {}
         for planner in planners:
             results = scaling_sweep(
                 planner,
-                sizes,
+                args.rows,
                 seed=args.seed,
                 instances_per_size=args.n,
                 corridor_len=args.len,
@@ -265,7 +264,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             fh.write("\n")
         _log(f"wrote {out_dir / 'scaling.json'}")
         return 0
-    _log(f"generating {args.n} instances at rows={args.rows} len={args.len}")
+    _log(f"generating {args.n} instances at rows={args.rows[0]} len={args.len}")
     instances = generate_instances(fields[0], args.n, args.seed)
     records = run_benchmark(planners, instances, repetitions=args.repetitions)
     report = emit_report(records, out_dir)
@@ -275,21 +274,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    stage_rows = _parse_stages(args.stages)
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():  # checked before hours of training
         raise ValueError(f"--out must name a file in an existing directory, got {args.out!r}")
     stages = [
-        CurriculumStage(rows, args.steps, corridor_len=args.len) for rows in stage_rows
+        CurriculumStage(rows, args.steps, corridor_len=args.len) for rows in args.stages
     ]
     cfg = TrainConfig()
     t0 = time.perf_counter()
     net, logs = run_curriculum(stages, cfg, args.seed)
     _log(f"trained {len(stages)} stage(s) in {time.perf_counter() - t0:.1f}s")
-    save_checkpoint(args.out, net, cfg, stage_rows=stage_rows[-1], seed=args.seed)
+    save_checkpoint(args.out, net, cfg, stage_rows=args.stages[-1], seed=args.seed)
     log_path = Path(str(args.out) + ".log.csv")
     lines = ["stage_rows,episode,return,success"]
-    for rows in stage_rows:
+    for rows in args.stages:
         for entry in logs[rows]:
             lines.append(f"{rows},{entry.episode},{entry.ret!r},{str(entry.success).lower()}")
     log_path.write_text("\n".join(lines) + "\n")
@@ -421,17 +419,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="benchmark planners")
     p.add_argument("--planners", required=True, help="comma list: heuristic,astar,dqn")
     p.add_argument("--n", type=_count, default=1000, help="instances (per size)")
-    p.add_argument("--rows", type=int, default=65)
+    p.add_argument("--rows", type=_widths, default="65", help="width, or widths to sweep: 10,65,200")
     p.add_argument("--len", type=int, default=10)
     p.add_argument("--model", help="checkpoint path (required for dqn)")
-    p.add_argument("--scaling", help="comma list of sizes, e.g. 10,65,200")
     p.add_argument("--repetitions", type=_count, default=1, help="timed reps per instance")
     p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--output-dir", default=".", help="directory for generated files")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", help="train the policy")
-    p.add_argument("--stages", required=True, help='"5" or "5..65:5"')
+    p.add_argument("--stages", type=_widths, required=True, help='"5", "3,5" or "5..65:5"')
     p.add_argument("--steps", type=_count, required=True, help="env steps per stage")
     p.add_argument("--len", type=int, default=10)
     p.add_argument("--out", required=True, help="checkpoint path to write")

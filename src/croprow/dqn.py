@@ -113,6 +113,12 @@ class QNetwork:
     def max_rows(self) -> int:
         return self.output_dim // 2 - 1
 
+    def max_rows_for(self, num_rows: int) -> int:
+        """``max_rows``; ValueError if a ``num_rows`` field is wider than the head's switches reach."""
+        if num_rows > self.max_rows:
+            raise ValueError(f"field has {num_rows} rows but the network covers {self.max_rows}")
+        return self.max_rows
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
 
@@ -372,9 +378,7 @@ def train_stage(
         net = QNetwork(
             action_space_size(stage.num_rows), cfg.hidden_sizes, rng=rng
         )
-    max_rows = net.max_rows
-    if stage.num_rows > max_rows:
-        raise ValueError(f"stage has {stage.num_rows} rows but the network covers {max_rows}")
+    max_rows = net.max_rows_for(stage.num_rows)
     target_net = net.copy()
     optimizer = Adam(net, cfg.learning_rate)
     buffer = ReplayBuffer(cfg.buffer_capacity, net.output_dim)
@@ -449,9 +453,7 @@ def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:
     """Greedy rollout of the value network; a budget overrun is a failure
     result, not an error."""
     field = request.field
-    max_rows = net.max_rows
-    if field.num_rows > max_rows:
-        raise ValueError(f"field has {field.num_rows} rows but the network covers {max_rows}")
+    max_rows = net.max_rows_for(field.num_rows)
     episode = Episode(field, request.start, request.goal)
     raw: list[Action] = []
     while not episode.done and episode.steps < field.max_steps:

@@ -91,7 +91,7 @@ class Action(NamedTuple):
 
 class RewardParts(NamedTuple):
     """Itemized reward terms; the step reward is their exact sum.  A named
-    tuple with the repr of the frozen dataclass it replaced."""
+    tuple whose repr names every term: ``RewardParts(step_penalty=-0.2, ...)``."""
 
     step_penalty: float = 0.0
     switch_penalty: float = 0.0
@@ -112,8 +112,8 @@ class RewardParts(NamedTuple):
 
 
 class StepOutcome(NamedTuple):
-    """One step's result; a named tuple with the repr of the frozen dataclass
-    it replaced."""
+    """One step's result; a named tuple whose repr names every field, as
+    ``StepOutcome(next_state=RobotState(...), reward=-0.2, ...)``."""
 
     next_state: RobotState
     reward: float

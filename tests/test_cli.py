@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -14,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from croprow import cli
 from croprow.bench import generate_instances
-from croprow.cli import _parse_stages, main
+from croprow.cli import _widths, main
 from croprow.dqn import QNetwork, TrainConfig, load_checkpoint, save_checkpoint
 from croprow.world import FieldSpec
 
@@ -347,7 +350,7 @@ class TestBench:
     def test_scaling_table(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
-            "bench", "--planners", "heuristic", "--scaling", "4,8", "--n", "10",
+            "bench", "--planners", "heuristic", "--rows", "4,8", "--n", "10",
             "--len", "5", "--seed", "3", "--output-dir", str(tmp_path),
         )
         assert code == 0
@@ -359,19 +362,34 @@ class TestBench:
             ["num_rows", "instances", "mean_time_ns", "success_rate"]
         ] * 2
 
+    @pytest.mark.parametrize(
+        "rows, written, absent",
+        [("4,6", ["scaling.json"], "benchmark.csv"), ("4", ["benchmark.csv", "benchmark.json"], "scaling.json")],
+        ids=["list", "one"],
+    )
+    def test_one_width_benchmarks_a_list_sweeps(self, capsys, tmp_path, rows, written, absent):
+        code, _, err = run_cli(
+            capsys, "bench", "--planners", "heuristic", "--rows", rows, "--n", "2", "--len", "5",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert f" rows={rows} " in err.splitlines()[0]  # one config token, the widths that run
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+        assert not (tmp_path / absent).exists()
+
     @pytest.mark.parametrize("sizes", ["4,4", "4,8,8", "8,4"])
     def test_scaling_sizes_not_strictly_ascending_exit_1_making_nothing(self, capsys, tmp_path, sizes):
         # a repeated size would be swept, printed and written twice
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
             capsys,
-            "bench", "--planners", "heuristic", "--scaling", sizes, "--n", "2",
+            "bench", "--planners", "heuristic", "--rows", sizes, "--n", "2",
             "--len", "5", "--output-dir", str(out_dir),
         )
         assert code == 1
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: --scaling sizes must be strictly ascending, got {sizes!r}"
+            f"error: argument --rows: widths must be strictly ascending, got {sizes!r}"
         ]
         assert not out_dir.exists()
 
@@ -381,7 +399,7 @@ class TestBench:
         monkeypatch.setattr(cli, "plan_heuristic", lambda request: calls.append(1) or plan(request))
         code, _, _ = run_cli(
             capsys,
-            "bench", "--planners", "heuristic", "--scaling", "4,6", "--n", "3",
+            "bench", "--planners", "heuristic", "--rows", "4,6", "--n", "3",
             "--repetitions", "5", "--len", "5", "--output-dir", str(tmp_path),
         )
         assert code == 0
@@ -397,7 +415,7 @@ class TestBench:
         assert "no planner" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("form", [["--rows", "6"], ["--scaling", "4,6"]], ids=["rows", "scaling"])
+    @pytest.mark.parametrize("form", [["--rows", "6"], ["--rows", "4,6"]], ids=["rows", "scaling"])
     def test_unusable_output_dir_exits_1_before_planning(self, capsys, tmp_path, monkeypatch, form):
         calls = []
         plan = cli.plan_heuristic
@@ -418,7 +436,7 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "planners, form",
-        [("astar,astar", ["--rows", "6"]), ("heuristic,astar,heuristic", ["--scaling", "4,6"])],
+        [("astar,astar", ["--rows", "6"]), ("heuristic,astar,heuristic", ["--rows", "4,6"])],
         ids=["rows", "scaling"],
     )
     def test_repeated_planner_exits_1_making_nothing(self, capsys, tmp_path, planners, form):
@@ -677,13 +695,26 @@ class TestTrain:
         assert "macro" in out
 
     def test_stage_parser(self):
-        assert _parse_stages("5") == [5]
-        assert _parse_stages("5..65:5") == list(range(5, 70, 5))
-        assert len(_parse_stages("5..65:5")) == 13
-        with pytest.raises(ValueError):
-            _parse_stages("5..65")
-        with pytest.raises(ValueError):
-            _parse_stages("65..5:5")
+        assert _widths("5") == [5]
+        assert _widths("5..65:5") == list(range(5, 70, 5))
+        assert len(_widths("5..65:5")) == 13
+        with pytest.raises(argparse.ArgumentTypeError):
+            _widths("5..65")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _widths("65..5:5")
+
+    def test_list_and_range_stages_write_the_same_bytes(self, capsys, tmp_path):
+        outputs = []
+        for stages in ("3,4", "3..4:1"):
+            out_path = tmp_path / f"{stages.replace(':', '_')}.npz"
+            code, _, err = run_cli(
+                capsys, "train", "--stages", stages, "--steps", "150", "--len", "4",
+                "--seed", "5", "--out", str(out_path),
+            )
+            assert code == 0
+            assert " stages=3,4 " in err.splitlines()[0]  # the config echo shows the widths that run
+            outputs.append([out_path.read_bytes(), Path(f"{out_path}.log.csv").read_bytes()])
+        assert outputs[0] == outputs[1]
 
 
 PINNED_SIMULATE_TEXT = """\
@@ -897,11 +928,11 @@ def test_unparsable_field_names_flag_and_field(capsys, command, flag, value, mes
     "argv, message",
     [
         (["train", "--stages", "3.0", "--steps", "5", "--out", "m.npz"],
-         "--stages: int expected, got '3.0'"),
+         "argument --stages: invalid int value: '3.0'"),
         (["train", "--stages", "5..x:5", "--steps", "5", "--out", "m.npz"],
-         "--stages: int expected, got 'x'"),
-        (["bench", "--planners", "heuristic", "--scaling", "10,6.5", "--n", "2"],
-         "--scaling: int expected, got '6.5'"),
+         "argument --stages: invalid int value: 'x'"),
+        (["bench", "--planners", "heuristic", "--rows", "10,6.5", "--n", "2"],
+         "argument --rows: invalid int value: '6.5'"),
     ],
 )
 def test_unparsable_list_names_flag(capsys, tmp_path, monkeypatch, argv, message):
@@ -911,6 +942,81 @@ def test_unparsable_list_names_flag(capsys, tmp_path, monkeypatch, argv, message
     assert out == ""
     assert f"error: {message}" in err
     assert "Traceback" not in err and "invalid literal" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestWidths:
+    """``--rows`` and ``--stages``: comma-separated ints and A..B:S ranges, strictly ascending."""
+
+    @pytest.mark.parametrize(
+        "text, widths",
+        [
+            ("65", [65]),
+            ("10,65,200", [10, 65, 200]),
+            ("5..20:5", [5, 10, 15, 20]),
+            ("5..12:5", [5, 10]),
+            ("3..3:1", [3]),
+            ("2,4..8:2,10", [2, 4, 6, 8, 10]),
+        ],
+        ids=["single", "list", "range", "range-short-of-its-end", "one-width-range", "mixed"],
+    )
+    def test_parses(self, text, widths):
+        assert _widths(text) == widths
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "invalid int value: ''"),
+            ("4,,6", "invalid int value: ''"),
+            ("4,6,", "invalid int value: ''"),
+            ("4,x", "invalid int value: 'x'"),
+            ("5..20", "range needs a step, e.g. 5..65:5, got '5..20'"),
+            ("4,5..20", "range needs a step, e.g. 5..65:5, got '5..20'"),
+            ("20..5:5", "range must ascend by a step of at least 1, got '20..5:5'"),
+            ("5..20:0", "range must ascend by a step of at least 1, got '5..20:0'"),
+            ("5..20:-5", "range must ascend by a step of at least 1, got '5..20:-5'"),
+            ("5..20:x", "invalid int value: 'x'"),
+            ("6,4", "widths must be strictly ascending, got '6,4'"),
+            ("4,4", "widths must be strictly ascending, got '4,4'"),
+            ("2..6:2,5", "widths must be strictly ascending, got '2..6:2,5'"),
+        ],
+        ids=[
+            "empty", "empty-part", "trailing-comma", "not-an-int", "range-without-step",
+            "listed-range-without-step", "descending-range", "zero-step", "negative-step",
+            "bad-step", "descending-list", "repeated", "overlapping-range",
+        ],
+    )
+    def test_rejects(self, text, message):
+        with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+            _widths(text)
+        assert str(excinfo.value) == message
+
+    @given(st.lists(st.integers(-10**6, 10**6), unique=True).filter(bool).map(sorted))
+    def test_an_ascending_list_parses_back_to_itself(self, widths):
+        assert _widths(",".join(map(str, widths))) == widths
+
+    @given(st.integers(-50, 50), st.integers(0, 100), st.integers(1, 30))
+    def test_a_range_is_python_s_inclusive_range(self, first, span, step):
+        assert _widths(f"{first}..{first + span}:{step}") == list(range(first, first + span + 1, step))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--planner", "astar", *WHERE],
+        ["bench", "--planners", "heuristic,astar", "--n", "2", "--output-dir", "out"],
+    ],
+    ids=["plan", "bench"],
+)
+def test_model_without_dqn_exits_1_reading_nothing(capsys, tmp_path, monkeypatch, argv):
+    # the path names no file: reading it would fail with a different error
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--model", str(tmp_path / "missing.npz"))
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: --model is read only by planner 'dqn'"
+    ]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -953,7 +1059,7 @@ SIMULATE = ["simulate", *WHERE, "--actions"]
         [*SIMULATE, "[[0,0]]"],
         [*SIMULATE, "[[0,0]]", "--format", "json"],
         ["bench", "--planners", "heuristic,astar", "--n", "5", "--rows", "6", "--len", "6"],
-        ["bench", "--planners", "heuristic", "--scaling", "4,8", "--n", "5", "--len", "5"],
+        ["bench", "--planners", "heuristic", "--rows", "4,8", "--n", "5", "--len", "5"],
         ["train", "--stages", "3", "--steps", "100", "--len", "4", "--out", "m.npz"],
         ["export", "--plan-json", "plan.json", "--geometry", "geom.cfg"],
         ["export", "--plan-json", "plan.json", "--geometry", "geom.cfg", "--format", "json"],
@@ -1040,7 +1146,7 @@ def test_back_to_back_calls_share_no_values(capsys, first, second):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--planners", "heuristic", "--scaling", "10", "--n", "0"],
+        ["bench", "--planners", "heuristic", "--rows", "10,20", "--n", "0"],
         ["bench", "--planners", "heuristic", "--n", "0"],
         ["bench", "--planners", "heuristic", "--n", "-3"],
         ["bench", "--planners", "heuristic", "--n", "2", "--repetitions", "0"],
@@ -1060,7 +1166,7 @@ def test_counts_below_one_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     "argv",
     [
         ["bench", "--planners", "heuristic", "--n", "2", "--seed", "-3", "--output-dir", "out"],
-        ["bench", "--planners", "heuristic", "--scaling", "4", "--n", "2", "--seed", "-3", "--output-dir", "out"],
+        ["bench", "--planners", "heuristic", "--rows", "4,6", "--n", "2", "--seed", "-3", "--output-dir", "out"],
         ["train", "--stages", "3", "--steps", "5", "--seed", "-1", "--out", "m.npz"],
     ],
 )
@@ -1080,8 +1186,8 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, tmp_path, monkey
         (["bench", "--planners", "heuristic", "--seed", "x", "--output-dir", "out"], "x"),
         (["bench", "--planners", "heuristic", "--n", "x", "--output-dir", "out"], "x"),
         (["bench", "--planners", "heuristic", "--repetitions", "1.5", "--output-dir", "out"], "1.5"),
-        (["bench", "--planners", "heuristic", "--scaling", "4", "--seed", "x", "--output-dir", "out"], "x"),
-        (["bench", "--planners", "heuristic", "--scaling", "4", "--n", "x", "--output-dir", "out"], "x"),
+        (["bench", "--planners", "heuristic", "--rows", "4,6", "--seed", "x", "--output-dir", "out"], "x"),
+        (["bench", "--planners", "heuristic", "--rows", "4,6", "--n", "x", "--output-dir", "out"], "x"),
         (["train", "--stages", "3", "--steps", "x", "--out", "m.npz"], "x"),
         (["train", "--stages", "3", "--steps", "5", "--seed", "x", "--out", "m.npz"], "x"),
     ],
@@ -1102,8 +1208,8 @@ def test_non_integer_count_or_seed_names_the_int_expected(capsys, tmp_path, monk
     [
         (["--rows", "1"], "num_rows must be >= 2, got 1"),
         (["--len", "0"], "corridor_len must be >= 1, got 0"),
-        (["--scaling", "1,5"], "num_rows must be >= 2, got 1"),
-        (["--scaling", "4,5", "--len", "0"], "corridor_len must be >= 1, got 0"),
+        (["--rows", "1,5"], "num_rows must be >= 2, got 1"),
+        (["--rows", "4,5", "--len", "0"], "corridor_len must be >= 1, got 0"),
     ],
 )
 def test_bench_bad_field_size_exits_1_making_no_directory(capsys, tmp_path, form, message):
@@ -1117,7 +1223,7 @@ def test_bench_bad_field_size_exits_1_making_no_directory(capsys, tmp_path, form
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("form", [["--rows", "65"], ["--scaling", "4,65"]], ids=["rows", "scaling"])
+@pytest.mark.parametrize("form", [["--rows", "65"], ["--rows", "4,65"]], ids=["rows", "scaling"])
 def test_bench_model_narrower_than_the_field_exits_1_as_plan_does(capsys, tmp_path, monkeypatch, form):
     # run per instance, the width error would only show as a 0%-success dqn row
     model = tmp_path / "narrow.npz"
@@ -1157,6 +1263,7 @@ def test_bench_model_narrower_than_the_field_exits_1_as_plan_does(capsys, tmp_pa
         ["train", "--stages", "3", "--steps", "5", "--out", "m.npz", "--format", "json"],
         ["bench", "--planners", "heuristic", "--n", "2", "--format", "json"],
         ["export", "--plan-json", "p.json", "--geometry", "g.cfg", "--seed", "1"],
+        ["bench", "--planners", "heuristic", "--scaling", "4,6", "--n", "2"],  # --rows 4,6 sweeps
     ],
 )
 def test_removed_no_op_options_exit_1(capsys, tmp_path, monkeypatch, argv):

@@ -38,6 +38,11 @@ def pick(valid, bad):
 
 
 ROWS = pick(("3", "4", "6"), ("-1", "1", "x"))
+# bench's widths: one, or a list or range to sweep
+WIDTHS = pick(
+    ("3", "4", "6", "3,5", "2..4:1", "2,4..6:2"),
+    ("-1", "1", "x", "", "3,2", "4,4", "2..4", "4..2:1", "1,3"),
+)
 LENS = pick(("3", "5"), ("0", "1", "x"))
 COUNTS = pick(("1", "2"), ("-3", "0", "x"))
 SEEDS = pick(("0", "7"), ("-1", "x"))
@@ -91,16 +96,15 @@ OPTIONS = {
     "bench": {
         "--planners": (*pick(("heuristic", "astar", "heuristic,astar", "dqn"), ("", "x")), REQUIRED),
         "--n": (*COUNTS, ALWAYS),
-        "--rows": (*ROWS, ALWAYS),
+        "--rows": (*WIDTHS, ALWAYS),
         "--len": (*LENS, OPTIONAL),
         "--model": (*pick(("model.npz",), PATHS), OPTIONAL),
-        "--scaling": (*pick(("2,3", "4"), ("3,2", "0", "x", "")), OPTIONAL),
         "--repetitions": (*COUNTS, OPTIONAL),
         "--seed": (*SEEDS, OPTIONAL),
         "--output-dir": (*OUT_DIRS, OPTIONAL),
     },
     "train": {
-        "--stages": (*pick(("2", "3", "2..3:1"), ("0", "x", "3..2:1", "2..3")), REQUIRED),
+        "--stages": (*pick(("2", "3", "2,3", "2..3:1"), ("0", "x", "3,2", "3..2:1", "2..3")), REQUIRED),
         "--steps": (*pick(("1", "20"), ("-4", "0", "x")), REQUIRED),
         "--len": (*LENS, OPTIONAL),
         "--out": (*pick(("trained.npz",), ("missing/trained.npz",)), REQUIRED),
@@ -118,7 +122,7 @@ OPTIONS = {
 STRAY = {
     "plan": (["--seed", "1"], ["--output-dir", "out"]),
     "simulate": (["--seed", "1"], ["--output-dir", "out"], ["--format", "csv"]),
-    "bench": (["--format", "json"],),
+    "bench": (["--format", "json"], ["--scaling", "2,3"]),
     "train": (["--output-dir", "out"], ["--format", "json"]),
     "export": (["--seed", "1"],),
 }
@@ -196,7 +200,7 @@ def workdir(tmp_path_factory):
 @example(argv=[*PLAN[:7], "--start=inf,2,0", *PLAN[9:]])
 @example(argv=[*PLAN[:7], "--start=nan,2,0", *PLAN[9:]])
 @example(argv=[*PLAN, "--planner=dqn", "--model=bad_model.npz"])
-@example(argv=["bench", "--planners", "heuristic", "--scaling", "10", "--n", "0"])
+@example(argv=["bench", "--planners", "heuristic", "--rows", "10,20", "--n", "0"])
 @example(argv=["bench", "--planners", "heuristic", "--n", "0"])
 @example(argv=["bench", "--planners", "heuristic", "--n=-3"])
 @example(argv=["train", "--stages", "3", "--steps", "0", "--out", "trained.npz"])

@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from croprow.bench import generate_instances
-from croprow.cli import _parse_stages
+from croprow.cli import _widths
 from croprow.dqn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -519,7 +519,7 @@ class TestSchedule:
         assert epsilon_at(250, 1000) == pytest.approx(0.525)
 
     def test_default_curriculum_shape(self):
-        stages = [CurriculumStage(rows, 1000) for rows in _parse_stages("5..65:5")]
+        stages = [CurriculumStage(rows, 1000) for rows in _widths("5..65:5")]
         assert [s.num_rows for s in stages] == list(range(5, 66, 5))
         assert all(s.corridor_len == 10 for s in stages)
         assert action_space_size(stages[-1].num_rows) == 132
@@ -591,8 +591,11 @@ class TestPlanDqn:
     def test_rejects_field_wider_than_head(self):
         net = toy_net(0, dtype=np.float32)  # max_rows 3
         request = PlanRequest(FieldSpec(6, 4), RobotState(0.5, 1, UP), GoalSpec(2, 2))
-        with pytest.raises(ValueError):
+        message = "field has 6 rows but the network covers 3"  # croprow plan prints it too
+        with pytest.raises(ValueError, match=message):
             plan_dqn(request, net)
+        with pytest.raises(ValueError, match=message):  # training follows the same rule
+            train_stage(CurriculumStage(6, 10, corridor_len=4), TrainConfig(hidden_sizes=(4, 4)), 0, net)
 
 
 def test_evaluate_runs_greedy_rollouts():
