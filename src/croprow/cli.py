@@ -59,6 +59,7 @@ from croprow.world import Episode  # noqa: F401 - not called here; perfbench/wor
 
 
 PLANNER_NAMES = tuple(planner_id.value for planner_id in PlannerId)
+MAX_WIDTHS = 10_000  # widths ascend, so the k-th has over k rows: 10,000 reach a field, and a network head, past 10,000
 
 
 def _log(message: str) -> None:
@@ -155,9 +156,9 @@ def _seed(text: str) -> int:
 
 
 def _widths(text: str) -> list[int]:
-    """Field widths for --rows and --stages: comma-separated parts, each an int
-    or an inclusive range A..B:S, strictly ascending so that no width runs twice."""
-    widths = []
+    """Field widths for --rows and --stages: comma-separated parts, each an int or an inclusive
+    range A..B:S, strictly ascending so that no width runs twice, each counted before it is listed."""
+    widths, count = [], 0
     for part in text.split(","):
         first, dots, rest = part.partition("..")
         last, colon, step = rest.partition(":")
@@ -166,6 +167,8 @@ def _widths(text: str) -> list[int]:
         first, last, step = map(_int, (first, last, step) if dots else (part, part, "1"))  # A is A..A:1
         if step < 1 or last < first:
             raise argparse.ArgumentTypeError(f"range must ascend by a step of at least 1, got {part!r}")
+        if (count := count + (last - first) // step + 1) > MAX_WIDTHS:
+            raise argparse.ArgumentTypeError(f"more than the {MAX_WIDTHS:,} widths one run takes, got {text!r}")
         widths += range(first, last + 1, step)
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise argparse.ArgumentTypeError(f"widths must be strictly ascending, got {text!r}")

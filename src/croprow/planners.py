@@ -12,8 +12,8 @@ Two planners produce provably shortest routes:
   closed-form Manhattan-style bound and ties broken toward larger g.  The bound
   is exact after the start, so a headland pose generates only the successors
   that keep its f (as in Enhanced Partial Expansion A*), relaxes them inline and
-  holds back the last one's key for the next pop.  Each pose is reached once,
-  so a parent link is all it records per pose; it counts the nodes it expands.
+  holds back the last one's key for the next pop, or walks a whole lateral run
+  without the heap.  Each pose is reached once and keeps a parent; it counts pops.
 
 Both build a route of poses, which one function turns into unit-step actions,
 the route's length, and the macro form used by the deployment pipeline, where
@@ -180,16 +180,19 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
     With the exact bound every entry after the start has f >= C*, and the goal pops with
     f = C* and h = 0, so an entry with f > C* is never taken (Hart, Nilsson & Raphael,
     IEEE TSSC 1968).  So a headland pose generates only the successors that keep its f,
-    picked in closed form as in EPEA* (Felner et al., "Partial-Expansion A* with
-    Selective Node Generation", AAAI 2012): outside the goal corridors the step toward
-    them, inside one the free flip, and the goal leg.  The crossing raises f by
-    2 (top - dy) > 0 and a step away from the goal by 1 or 2, so EPEA*'s re-insertion
-    of the parent is never needed.  Outside a goal corridor the flip twin has its parent's g, h
-    and moves, and the lateral successor (h - 1) pops before it, so it never pops before
-    the goal.  Every pose keeps the start's heading until a flip in a goal corridor, so each
-    is reached once, by a least-g path, and keeps only a parent.  The flip back to a pose's
-    own parent is skipped: when the pose's goal leg misses, the parent's reached the goal,
-    which pops first.  The route keeps the poses where y changes, so a headland run is one hop."""
+    picked in closed form as in EPEA* (Felner et al., "Partial-Expansion A* with Selective
+    Node Generation", AAAI 2012): outside the goal corridors the step toward them, inside
+    one the free flip, and the goal leg.  The crossing raises f by 2 (top - dy) > 0 and a
+    step away from the goal by 1 or 2, so EPEA*'s re-insertion of the parent is never
+    needed.  Outside a goal corridor the flip twin has its parent's g, h and moves, and the
+    lateral successor (h - 1) pops before it, so it never pops before the goal.  There the
+    lateral run is walked at once, a parent and a pop per pose, holding the last one's key:
+    f stays and h falls by one, so each key undercuts the frontier, and no run pose's goal
+    leg is a goal (fast expansion: Sun, Yeoh, Chen & Koenig, AAMAS 2009).  Every pose
+    keeps the start's heading until a flip in a goal corridor, so each is reached once, by
+    a least-g path, and keeps only a parent.  The flip back to a pose's own parent is
+    skipped: when the pose's goal leg misses, the parent's reached the goal, which pops
+    first.  The route keeps the poses where y changes, so a headland run is one hop."""
     configs = goal_configs(field, goal)
     if start in configs:
         return [start], 0
@@ -227,10 +230,12 @@ def _astar_route(field: FieldSpec, start: RobotState, goal: GoalSpec) -> tuple[l
             succ, ng, hs = node - 2 * y1, g + y1, lat + goal_y1
             parent[succ] = node
             held = ((ng + hs) * span + hs) * n + succ
-        elif lat:  # one corridor toward the goal corridors; f stays, h falls by one
-            succ = node + (-width if corridor > hi else width)
-            parent[succ] = node
-            held = (f * span + h - 1) * n + succ
+        elif lat:  # the run to the nearer goal corridor, each pose a pop that undercuts the frontier
+            step = -width if corridor > hi else width
+            for succ in range(node + step, node + (lat + 1) * step, step):
+                parent[succ], node = node, succ
+            pops, held = pops + lat - 1, (f * span + h - lat) * n + node  # the last pose pops next
+            continue
         elif parent.get(node) != node ^ 1:  # in a goal corridor the flip is free and the heading picks the goal
             parent[node ^ 1] = node
             held = (f * span + h) * n + (node ^ 1)

@@ -288,38 +288,38 @@ def _pose_id(field: FieldSpec, state: RobotState) -> int:
 
 @lru_cache(maxsize=1024)
 def _distance_field(field: FieldSpec, goal: GoalSpec) -> array:
-    """Exact distance from every pose id to the goal's terminal set, relaxed on an
-    int64 (y + 1, heading, corridor) array, so every numpy call spans all corridors.
-    Vertical lines take a doubling scan, the 1-D L1 distance transform (Rosenfeld &
-    Pfaltz 1966) as a Hillis-Steele scan: exact, as updates are real paths and shifts
-    1 .. 2^(b-1) <= top bound each entry by min_j d[j] + |y - j| over 2^b - 1 >= top.
-    Headlands, alone in allowing lateral steps and free flips, take the flip and two
-    prefix-minimum passes; once those change nothing, the array is the fixed point.
-    """
-    top = field.corridor_len + 1  # the far headland's y + 1
-    dist = np.full((top + 1, 2, field.num_rows - 1), _UNREACHED, np.int64)
-    poses = dist.transpose(2, 0, 1)  # a view in pose-id order
-    poses.flat[[_pose_id(field, config) for config in goal_configs(field, goal)]] = 0
+    """Exact distance from every pose id to the goal's terminal set.  A flip is free on a
+    headland, so both headings at a corridor end share one distance, held in an int64
+    (end, corridor) array.  From the goal lines' ends it relaxes to the Bellman-Ford fixed
+    point: the crossing, top = len + 1 between a line's ends, then the lateral steps as two
+    prefix-minimum passes, until a pass changes nothing.  A line is a path graph between its
+    ends, so its poses then take min(bottom + y + 1, top end + len - y), and a goal's own
+    line |y - goal_y|: the exact L1 distances on a path."""
+    top, y1 = field.corridor_len + 1, np.arange(field.corridor_len + 2, dtype=np.intc)  # y + 1 of every pose
+    corridors, headings = zip(*((int(c.corridor_x - 0.5), c.orientation) for c in goal_configs(field, goal)))
+    ends = np.full((2, field.num_rows - 1), _UNREACHED, np.int64)
+    ends[:, corridors] = [[goal.goal_y + 1], [top - goal.goal_y - 1]]
     i = np.arange(field.num_rows - 1)
     while True:
-        for k in (1 << b for b in range(top.bit_length())):  # 1, 2, 4, ... <= top
-            np.minimum(dist[k:], dist[:-k] + k, out=dist[k:])
-            np.minimum(dist[:-k], dist[k:] + k, out=dist[:-k])
-        headlands = dist[::top]  # a view of both ends: free flips, then the lateral steps
-        flipped = np.minimum(headlands[:, UP], headlands[:, DOWN])
-        forward = np.minimum.accumulate(flipped - i, axis=1) + i
-        lateral = np.minimum(forward, np.minimum.accumulate((flipped + i)[:, ::-1], axis=1)[:, ::-1] - i)
-        if (headlands == lateral[:, None]).all():
-            return array("i", poses.astype(np.intc).tobytes())
-        headlands[...] = lateral[:, None]
+        crossed = np.minimum(ends, ends[::-1] + top)
+        forward = np.minimum.accumulate(crossed - i, axis=1) + i
+        lateral = np.minimum(forward, np.minimum.accumulate((crossed + i)[:, ::-1], axis=1)[:, ::-1] - i)
+        if (lateral == ends).all():
+            break
+        ends = lateral
+    bottom, far = ends.astype(np.intc)  # the fill runs in the output's dtype, corridors innermost
+    poses = np.empty((field.num_rows - 1, top + 1, 2), np.intc)  # (corridor, y + 1, heading): pose-id order
+    poses[..., UP] = poses[..., DOWN] = np.minimum(bottom + y1[:, None], far + (top - y1)[:, None]).T
+    poses[corridors, :, headings] = abs(y1 - goal.goal_y - 1)  # the goal lines
+    return array("i", poses.tobytes())
 
 
 def oracle_shortest(field: FieldSpec, start: RobotState, goal: GoalSpec) -> float:
     """Exact shortest travel distance from start to any terminal configuration.
 
-    A lookup into the goal's distance field, built by numpy line relaxations
-    (see :func:`_distance_field`) and LRU-memoized per (field, goal), at most
-    1,024 fields at 4 bytes per pose: about 100 MB at 1,000 rows.
+    A lookup into the goal's distance field (see :func:`_distance_field`),
+    LRU-memoized per (field, goal), at most 1,024 fields at 4 bytes per pose:
+    about 100 MB at 1,000 rows.
     Independent of the planners, used as ground truth for them.
     """
     check_state(field, start)

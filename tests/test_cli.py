@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -979,11 +980,15 @@ class TestWidths:
             ("6,4", "widths must be strictly ascending, got '6,4'"),
             ("4,4", "widths must be strictly ascending, got '4,4'"),
             ("2..6:2,5", "widths must be strictly ascending, got '2..6:2,5'"),
+            ("2..10002:1", "more than the 10,000 widths one run takes, got '2..10002:1'"),
+            ("2..5002:1,6000..10999:1", "more than the 10,000 widths one run takes, got '2..5002:1,6000..10999:1'"),
+            (f"2..{10**20}:1", f"more than the 10,000 widths one run takes, got '2..{10**20}:1'"),
         ],
         ids=[
             "empty", "empty-part", "trailing-comma", "not-an-int", "range-without-step",
             "listed-range-without-step", "descending-range", "zero-step", "negative-step",
             "bad-step", "descending-list", "repeated", "overlapping-range",
+            "one-range-over-the-cap", "parts-over-the-cap", "range-longer-than-sys-maxsize",
         ],
     )
     def test_rejects(self, text, message):
@@ -998,6 +1003,30 @@ class TestWidths:
     @given(st.integers(-50, 50), st.integers(0, 100), st.integers(1, 30))
     def test_a_range_is_python_s_inclusive_range(self, first, span, step):
         assert _widths(f"{first}..{first + span}:{step}") == list(range(first, first + span + 1, step))
+
+    def test_the_cap_itself_parses(self):
+        assert _widths(f"2..{cli.MAX_WIDTHS + 1}:1") == list(range(2, cli.MAX_WIDTHS + 2))
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--stages", "2..100000000000000000000:1", "--steps", "1", "--out", "m.npz"], "--stages"),
+            (["bench", "--planners", "heuristic", "--rows", "3..2000000000:1", "--n", "1", "--output-dir", "out"],
+             "--rows"),
+        ],
+        ids=["train-stages-past-sys-maxsize", "bench-rows-of-two-billion"],
+    )
+    def test_a_range_too_long_to_list_exits_1_under_a_memory_limit(self, tmp_path, argv, flag):
+        # the limit turns a list the parser would build into a MemoryError at once
+        limit = 512 * 2**20
+        proc = _run_module(
+            *argv, cwd=tmp_path, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        )
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert proc.returncode == 1, proc.stderr
+        assert len(errors) == 1 and errors[0].startswith(f"error: argument {flag}: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1274,9 +1303,9 @@ def test_removed_no_op_options_exit_1(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def _run_module(*argv):
+def _run_module(*argv, **kwargs):
     """``python -m croprow`` in a child that imports the package from where this
-    process found it."""
+    process found it; ``kwargs`` go to ``subprocess.run``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.run(
@@ -1284,6 +1313,7 @@ def _run_module(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        **kwargs,
     )
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from croprow.cli import main
+from croprow.cli import MAX_WIDTHS, main
 from croprow.dqn import QNetwork, TrainConfig, action_space_size, save_checkpoint
 
 GEOMETRIES = {
@@ -37,12 +37,23 @@ def pick(valid, bad):
     return st.sampled_from(valid), st.sampled_from(bad)
 
 
+@st.composite
+def too_many_widths(draw):
+    """A range of more widths than one run takes, its ends up to 10**30."""
+    first = draw(st.integers(2, 10**30 - MAX_WIDTHS))
+    last = draw(st.integers(first + MAX_WIDTHS, 10**30))
+    return f"{first}..{last}:{draw(st.integers(1, (last - first) // MAX_WIDTHS))}"
+
+
 ROWS = pick(("3", "4", "6"), ("-1", "1", "x"))
 # bench's widths: one, or a list or range to sweep
 WIDTHS = pick(
     ("3", "4", "6", "3,5", "2..4:1", "2,4..6:2"),
     ("-1", "1", "x", "", "3,2", "4,4", "2..4", "4..2:1", "1,3"),
 )
+WIDTHS = WIDTHS[0], WIDTHS[1] | too_many_widths()
+STAGES = pick(("2", "3", "2,3", "2..3:1"), ("0", "x", "3,2", "3..2:1", "2..3"))
+STAGES = STAGES[0], STAGES[1] | too_many_widths()
 LENS = pick(("3", "5"), ("0", "1", "x"))
 COUNTS = pick(("1", "2"), ("-3", "0", "x"))
 SEEDS = pick(("0", "7"), ("-1", "x"))
@@ -104,7 +115,7 @@ OPTIONS = {
         "--output-dir": (*OUT_DIRS, OPTIONAL),
     },
     "train": {
-        "--stages": (*pick(("2", "3", "2,3", "2..3:1"), ("0", "x", "3,2", "3..2:1", "2..3")), REQUIRED),
+        "--stages": (*STAGES, REQUIRED),
         "--steps": (*pick(("1", "20"), ("-4", "0", "x")), REQUIRED),
         "--len": (*LENS, OPTIONAL),
         "--out": (*pick(("trained.npz",), ("missing/trained.npz",)), REQUIRED),

@@ -304,6 +304,23 @@ def test_astar_memory_follows_the_search_not_the_field():
     assert result.macro_actions == plan_heuristic(request).macro_actions
 
 
+@pytest.mark.parametrize(
+    "start, goal, pops, turn",
+    [
+        (RobotState(0.5, -1, UP), GoalSpec(4999, 3), 5001, RobotState(4998.5, -1, DOWN)),
+        (RobotState(0.5, 10, DOWN), GoalSpec(4998, 7), 4999, RobotState(4997.5, 10, DOWN)),
+        (RobotState(0.5, -1, DOWN), GoalSpec(4990, 0), 4991, RobotState(4989.5, -1, DOWN)),
+        (RobotState(0.5, 10, UP), GoalSpec(2500, 9), 2502, RobotState(2499.5, 10, DOWN)),
+    ],
+)
+def test_a_headland_run_counts_every_pose_it_walks(start, goal, pops, turn):
+    # pinned from the search that took each pose of the run off the heap: the
+    # run walks thousands of corridors and still reports one pop per pose
+    route, popped = planners._astar_route(FieldSpec(5000, 10), start, goal)
+    assert popped == pops
+    assert route == [start, turn, RobotState(turn.corridor_x, goal.goal_y, DOWN)]
+
+
 def test_astar_pushes_at_most_two_heap_entries_per_plan(monkeypatch):
     # a headland pose generates only the successors that keep f, so only an
     # interior start's second drive and a goal corridor's flip beside the goal
