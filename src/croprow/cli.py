@@ -42,13 +42,13 @@ from croprow.planners import (
     PlannerId,
     PlanRequest,
     dedup,
-    expand_macro_legs,
     plan_astar,
     plan_heuristic,
 )
 from croprow.waypoints import (
     _path_from_legs,
     compile_route,  # noqa: F401 - not called here; perfbench/workloads.py traces cli.compile_route
+    expand_macro_legs,
     load_geometry,
     to_world,
     write_csv,
@@ -60,6 +60,7 @@ from croprow.world import Episode  # noqa: F401 - not called here; perfbench/wor
 
 PLANNER_NAMES = tuple(planner_id.value for planner_id in PlannerId)
 MAX_WIDTHS = 10_000  # widths ascend, so the k-th has over k rows: 10,000 reach a field, and a network head, past 10,000
+MAX_SAMPLED = 2**63  # numpy's Generator.integers draws below at most 2**63; bench and train draw below widths and --len
 
 
 def _log(message: str) -> None:
@@ -155,6 +156,12 @@ def _seed(text: str) -> int:
     return _count(text, 0)  # numpy's generators take no negative seed
 
 
+def _sampled(text: str | int) -> int:
+    if (value := _int(text)) > MAX_SAMPLED:  # before any instance is drawn or --output-dir made
+        raise argparse.ArgumentTypeError(f"must be at most 2**63, the largest bound numpy draws below, got {value}")
+    return value
+
+
 def _widths(text: str) -> list[int]:
     """Field widths for --rows and --stages: comma-separated parts, each an int or an inclusive
     range A..B:S, strictly ascending so that no width runs twice, each counted before it is listed."""
@@ -169,6 +176,7 @@ def _widths(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"range must ascend by a step of at least 1, got {part!r}")
         if (count := count + (last - first) // step + 1) > MAX_WIDTHS:
             raise argparse.ArgumentTypeError(f"more than the {MAX_WIDTHS:,} widths one run takes, got {text!r}")
+        _sampled(last)
         widths += range(first, last + 1, step)
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise argparse.ArgumentTypeError(f"widths must be strictly ascending, got {text!r}")
@@ -423,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--planners", required=True, help="comma list: heuristic,astar,dqn")
     p.add_argument("--n", type=_count, default=1000, help="instances (per size)")
     p.add_argument("--rows", type=_widths, default="65", help="width, or widths to sweep: 10,65,200")
-    p.add_argument("--len", type=int, default=10)
+    p.add_argument("--len", type=_sampled, default=10)
     p.add_argument("--model", help="checkpoint path (required for dqn)")
     p.add_argument("--repetitions", type=_count, default=1, help="timed reps per instance")
     p.add_argument("--seed", type=_seed, default=0, help="random seed")
@@ -433,7 +441,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the policy")
     p.add_argument("--stages", type=_widths, required=True, help='"5", "3,5" or "5..65:5"')
     p.add_argument("--steps", type=_count, required=True, help="env steps per stage")
-    p.add_argument("--len", type=int, default=10)
+    p.add_argument("--len", type=_sampled, default=10)
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.set_defaults(func=cmd_train)

@@ -16,8 +16,8 @@ Two planners produce provably shortest routes:
   without the heap.  Each pose is reached once and keeps a parent; it counts pops.
 
 Both build a route of poses, which one function turns into unit-step actions,
-the route's length, and the macro form used by the deployment pipeline, where
-a vertical macro runs until a phase boundary.
+the route's length, and the macro form that :mod:`croprow.waypoints` expands
+back into unit steps for export.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from croprow.world import (
     GoalSpec,
     RobotState,
     at_headland,
-    _transition,
-    check_action,
     check_state,
     goal_configs,
     step,  # noqa: F401 - not called here; perfbench/workloads.py traces planners.step
@@ -75,46 +73,6 @@ def dedup(actions: list[Action] | tuple[Action, ...]) -> tuple[Action, ...]:
         if not out or out[-1] != action:
             out.append(action)
     return tuple(out)
-
-
-def expand_macro_legs(
-    field: FieldSpec, start: RobotState, macros, goal: GoalSpec
-) -> tuple[list[Action], list[list[RobotState]]]:
-    """Unit-step expansion of macro actions under deployment semantics,
-    keeping the state trajectory of each macro as a separate leg.
-
-    A vertical macro repeats until the route reaches the goal or the robot
-    reaches a corridor end, so raw actions that turn inside a corridor do not
-    expand from their dedup; a switch macro is a single action.  The start
-    and then the goal are checked once, before the first macro and also when
-    there is none; later states come from the transition rule.  Raises
-    ValueError when a macro cannot make progress, naming it.
-    """
-    check_state(field, start)
-    configs = goal_configs(field, goal)
-    state = start
-    raw: list[Action] = []
-    legs: list[list[RobotState]] = []
-    for i, macro in enumerate(macros):
-        if state in configs:
-            raise ValueError(f"macro {i} {macro}: route already complete")
-        leg = [state]
-        try:
-            check_action(field, macro)
-            while True:
-                # rewards are not read here, so no previous move and any origin
-                out = _transition(field, state, macro, configs, None, state.corridor_x)
-                if macro.move < 2 and out.distance_delta == 0:
-                    raise ValueError("no progress at corridor bounds")
-                state = out.next_state
-                raw.append(macro)
-                leg.append(state)
-                if macro.move >= 2 or at_headland(field, state.y) or out.done:
-                    break
-        except ValueError as exc:
-            raise ValueError(f"macro {i} {macro}: {exc}") from exc
-        legs.append(leg)
-    return raw, legs
 
 
 def _plan_from_route(route: list[RobotState], planner_id: PlannerId, nodes_expanded: int = 0) -> PlanResult:

@@ -1,12 +1,13 @@
 """Metric route compilation for the downstream row-following controller.
 
 Abstract routes live on a unit grid: corridors at half-integer x, corridor
-cells y in 0..L-1, headland rows just past either end.  This module compiles
-macro action sequences into corridor-centerline waypoint polylines in field
-coordinates (meters), tagged per point with a pipeline phase (exit the current
-corridor, switch along the headland, enter the target corridor; a direct run
-is an approach) and a travel direction the controller can use to flip
-waypoint order when driving backward.
+cells y in 0..L-1, headland rows just past either end.  This module expands
+macro action sequences into unit steps through the simulator's Episode and
+compiles them into corridor-centerline waypoint polylines in field coordinates
+(meters), tagged per point with a pipeline phase (exit the current corridor,
+switch along the headland, enter the target corridor; a direct run is an
+approach) and a travel direction the controller can use to flip waypoint order
+when driving backward.
 
 Mapping: centerline x = corridor_x * row_spacing_m; an interior cell y maps
 to its section center (y + 0.5) * u with u = corridor_length_m / L; headland
@@ -23,8 +24,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
-from croprow.planners import expand_macro_legs
-from croprow.world import FieldSpec, GoalSpec, RobotState
+from croprow.world import Action, Episode, FieldSpec, GoalSpec, RobotState, at_headland
 
 
 class Phase(str, Enum):
@@ -103,21 +103,50 @@ def metric_y(abstract_y: int, field: FieldSpec, geometry: FieldGeometry) -> floa
     return (abstract_y + 0.5) * unit
 
 
+def expand_macro_legs(
+    field: FieldSpec, start: RobotState, macros, goal: GoalSpec
+) -> tuple[list[Action], list[list[RobotState]]]:
+    """Unit-step expansion of macro actions under deployment semantics, with each macro's states as a leg.
+
+    A vertical macro repeats until the route reaches the goal or the robot
+    reaches a corridor end, so raw actions that turn inside a corridor do not
+    expand from their dedup; a switch macro is a single action.  Each unit step
+    is an :meth:`Episode.step`, the step ``simulate`` judges; the episode checks
+    the start and then the goal once, also with no macro.  Raises ValueError
+    naming a macro that cannot make progress.
+    """
+    episode = Episode(field, start, goal)
+    raw: list[Action] = []
+    legs: list[list[RobotState]] = []
+    for i, macro in enumerate(macros):
+        if episode.done:
+            raise ValueError(f"macro {i} {macro}: route already complete")
+        legs.append([episode.state])
+        try:
+            while True:
+                out = episode.step(macro)
+                if macro.move < 2 and out.distance_delta == 0:
+                    raise ValueError("no progress at corridor bounds")
+                raw.append(macro)
+                legs[-1].append(out.next_state)
+                if macro.move >= 2 or at_headland(field, out.next_state.y) or out.done:
+                    break
+        except ValueError as exc:
+            raise ValueError(f"macro {i} {macro}: {exc}") from exc
+    return raw, legs
+
+
 def compile_route(
-    macro_actions,
-    start: RobotState,
-    field: FieldSpec,
-    geometry: FieldGeometry,
-    goal: GoalSpec,
+    macro_actions, start: RobotState, field: FieldSpec, geometry: FieldGeometry, goal: GoalSpec
 ) -> WaypointPath:
     """Compile macro actions into a centerline waypoint polyline.
 
-    The sequence is validated by replaying it in the abstract world with
-    expand_macro_legs, which checks the start and the goal once, before any
-    macro, and raises ValueError naming an inexecutable macro.  Vertical runs
-    end at the goal cell or a corridor end.  A vertical macro is an approach
-    when it is the only macro, an exit when it is the first and an enter
-    otherwise.  An empty sequence compiles to the single point at the start.
+    The sequence is validated by replaying it through the simulator with
+    :func:`expand_macro_legs`, which checks the start and the goal once, before
+    any macro, and raises ValueError naming an inexecutable macro.  Vertical
+    runs end at the goal cell or a corridor end.  A vertical macro is an
+    approach when it is the only macro, an exit when it is the first and an
+    enter otherwise.  An empty sequence compiles to the single point at the start.
     """
     macros = list(macro_actions)
     _, legs = expand_macro_legs(field, start, macros, goal=goal)

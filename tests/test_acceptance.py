@@ -32,11 +32,10 @@ from croprow.planners import (
     PlannerId,
     PlanRequest,
     dedup,
-    expand_macro_legs,
     plan_astar,
     plan_heuristic,
 )
-from croprow.waypoints import FieldGeometry, Phase, compile_route
+from croprow.waypoints import FieldGeometry, Phase, compile_route, expand_macro_legs
 from croprow.world import (
     Action,
     FieldSpec,

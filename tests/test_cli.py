@@ -1252,6 +1252,48 @@ def test_bench_bad_field_size_exits_1_making_no_directory(capsys, tmp_path, form
     assert not out_dir.exists()
 
 
+HUGE = str(10**20)  # past 2**63, the largest bound numpy's Generator.integers draws below
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "--planners", "heuristic", "--len", HUGE, "--n", "5", "--output-dir", "o"], "--len"),
+        (["bench", "--planners", "heuristic", "--rows", HUGE, "--n", "5", "--output-dir", "o"], "--rows"),
+        (["bench", "--planners", "heuristic", "--rows", f"4,{HUGE}", "--n", "5", "--output-dir", "o"], "--rows"),
+        (["train", "--stages", "3", "--steps", "10", "--len", HUGE, "--out", "m.npz"], "--len"),
+        (["train", "--stages", f"3..{HUGE}:{10**19}", "--steps", "10", "--out", "m.npz"], "--stages"),
+    ],
+    ids=["bench-len", "bench-rows", "bench-sweep", "train-len", "train-stages"],
+)
+def test_a_size_numpy_cannot_draw_below_exits_1_naming_the_flag(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate_instances", lambda *a: pytest.fail("an instance was drawn"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: argument {flag}: must be at most 2**63, the largest bound numpy draws below, got {10**20}"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_size_numpy_draws_below_parses():
+    parse, most = cli.build_parser().parse_args, 2**63
+    args = parse(["bench", "--planners", "heuristic", "--rows", f"4,{most}", "--len", str(most)])
+    assert (args.rows, args.len) == ([4, most], most)
+    args = parse(["train", "--stages", str(most), "--steps", "1", "--len", str(most), "--out", "m.npz"])
+    assert (args.stages, args.len) == ([most], most)
+
+
+def test_plan_and_simulate_keep_fields_numpy_cannot_draw_below(capsys):
+    where = ["--rows", HUGE, "--len", HUGE, "--start", "0.5,3,0", "--goal", "40,4"]
+    code, out, _ = run_cli(capsys, "plan", "--planner", "astar", *where, "--format", "json")
+    assert code == 0
+    actions = json.dumps(json.loads(out)["raw_actions"])
+    assert run_cli(capsys, "simulate", *where, "--actions", actions, "--format", "json")[0] == 0
+
+
 @pytest.mark.parametrize("form", [["--rows", "65"], ["--rows", "4,65"]], ids=["rows", "scaling"])
 def test_bench_model_narrower_than_the_field_exits_1_as_plan_does(capsys, tmp_path, monkeypatch, form):
     # run per instance, the width error would only show as a 0%-success dqn row

@@ -17,10 +17,10 @@ from croprow.planners import (
     PlanRequest,
     PlannerId,
     dedup,
-    expand_macro_legs,
     plan_astar,
     plan_heuristic,
 )
+from croprow.waypoints import expand_macro_legs
 from croprow.world import (
     DOWN,
     UP,

@@ -432,8 +432,8 @@ class TestOracle:
             (1000, 10, 6),
             (2, 1, None),
             (2, _distance_field.cache_info().maxsize // 2 + 1, None),  # the memo-bound field
-            # corridor_len + 1 on and around powers of two, where the number
-            # of shifts in the vertical doubling scan changes
+            # corridor_len + 1 on and around powers of two: a sweep of crossing costs
+            # (+len + 1) and closed-form line fills, each checked on every pose and goal
             *[
                 (rows, top - 1, None)
                 for rows in (2, 3, 5)
