@@ -233,23 +233,20 @@ def scaling_sweep(
     corridor_len: int = 10,
     repetitions: int = 1,
 ) -> list[SizeResult]:
-    """Mean planning time as the field widens; same seed, same instances."""
+    """Mean planning time as the field widens, on each size's
+    ``generate_instances`` suite.  The sizes are timed round-robin, instance
+    i of every size before instance i + 1 of any, so a burst of load lands
+    on all of them alike; each size keeps running totals only."""
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     master = np.random.default_rng(seed)
-    out: list[SizeResult] = []
-    for num_rows in sizes:
-        size_seed = int(master.integers(2**63))
-        field = FieldSpec(num_rows, corridor_len)
-        instances = generate_instances(field, instances_per_size, size_seed)
-        records = run_benchmark([planner], instances, repetitions=repetitions)
-        stats = summarize(records)[planner.planner_id.value]
-        out.append(
-            SizeResult(
-                num_rows=num_rows,
-                instances=len(records),
-                mean_time_ns=stats["mean_time_ns"],
-                success_rate=stats["success_rate"],
-            )
-        )
-    return out
+    fields = [FieldSpec(num_rows, corridor_len) for num_rows in sizes]
+    rngs = [np.random.default_rng(int(master.integers(2**63))) for _ in sizes]  # generate_instances' draws
+    totals = [[0, 0] for _ in sizes]  # ns, successes
+    for i in range(instances_per_size):
+        for field, rng, total in zip(fields, rngs, totals):
+            (record,) = run_benchmark([planner], [Instance(i, field, *sample_instance(field, rng))], repetitions)
+            total[0] += record.planning_time_ns
+            total[1] += record.success
+    n = instances_per_size
+    return [SizeResult(f.num_rows, n, ns / n, successes / n) for f, (ns, successes) in zip(fields, totals)]

@@ -137,8 +137,8 @@ class SimulationResult:
 
 
 def is_corridor(field: FieldSpec, x: float) -> bool:
-    # is_integer() is False for inf and nan, where int() would raise
-    return (x - 0.5).is_integer() and 0.5 <= x <= field.num_rows - 1.5
+    # exact for every float: a whole x, past 2**52 too, leaves 0.0; inf and nan leave nan
+    return x % 1 == 0.5 and 0.5 <= x <= field.num_rows - 1.5
 
 
 def at_headland(field: FieldSpec, y: int) -> bool:
@@ -203,63 +203,15 @@ def step(
     prev_displacement: int | None = None,
     initial_corridor_x: float | None = None,
 ) -> StepOutcome:
-    """Apply one action; pure function of its arguments.
-
-    Checks the pose, the action and the goal, then applies the rule that
-    :class:`Episode` applies.  The orientation component is applied first,
-    so vertical motion uses the new heading.  ``prev_displacement`` is the
-    previous step's signed vertical displacement (for oscillation
-    detection); ``initial_corridor_x`` is the corridor the episode started
-    in (for the arrival bonus) and defaults to the current corridor.
-    """
-    check_state(field, state)
-    check_action(field, action)
-    origin = state.corridor_x if initial_corridor_x is None else initial_corridor_x
-    return _transition(field, state, action, goal_configs(field, goal), prev_displacement, origin)
-
-
-def _transition(
-    field: FieldSpec, state: RobotState, action: Action,
-    configs: tuple[RobotState, ...], prev_displacement: int | None, origin: float,
-) -> StepOutcome:
-    """The step rule on a checked pose and action, given the goal's terminal set."""
-    y = state.y
-    orientation, move = action
-    headland = y == -1 or y == field.corridor_len
-    turn_penalty = TURN_PENALTY if orientation != state.orientation and not headland else 0.0
-    if move >= 2:
-        if not headland:
-            raise IllegalActionError(f"corridor switch requires a headland, robot at y={y}")
-        target_x = move - 1.5
-        distance = abs(target_x - state.corridor_x)
-        next_state = RobotState(target_x, y, orientation)
-        done = next_state in configs
-        step_penalty, switch_penalty, oscillation_penalty = 0.0, SWITCH_PENALTY_PER_ROW * distance, 0.0
-    else:
-        ny = y + 1 if (orientation == UP) == (move == FORWARD) else y - 1
-        if ny <= -1:  # clamp at field bounds, still costs; a clamped y is the int bound
-            ny = -1
-        elif ny >= field.corridor_len:
-            ny = field.corridor_len
-        dy = ny - y
-        distance = float(abs(dy))
-        next_state = RobotState(state.corridor_x, ny, orientation)
-        done = next_state in configs
-        oscillating = not headland and dy != 0 and prev_displacement is not None and dy == -prev_displacement
-        if not (turn_penalty or oscillating or done):  # -0.2 + 0.0 + ... == -0.2 exactly
-            return StepOutcome(next_state, STEP_PENALTY, False, _UNIT_STEP, distance)
-        step_penalty, switch_penalty = STEP_PENALTY, 0.0
-        oscillation_penalty = OSCILLATION_PENALTY if oscillating else 0.0
-
-    goal_reward = bonus = 0.0
-    if done:
-        goal_reward = GOAL_REWARD
-        nearest = min(abs(c.corridor_x - origin) for c in configs)
-        if abs(next_state.corridor_x - origin) <= nearest:
-            bonus = CLOSER_CORRIDOR_BONUS
-
-    parts = RewardParts(step_penalty, switch_penalty, turn_penalty, oscillation_penalty, goal_reward, bonus)
-    return StepOutcome(next_state, parts.total(), done, parts, distance)
+    """One :meth:`Episode.step` from a given pose, terminal or not; pure function of its
+    arguments.  ``prev_displacement`` is the previous step's signed vertical displacement
+    (for oscillation); ``initial_corridor_x`` the episode's first corridor (for the arrival
+    bonus), by default the current one."""
+    episode = Episode(field, state, goal)
+    episode.done, episode.prev_displacement = False, prev_displacement
+    if initial_corridor_x is not None:
+        episode.initial_corridor_x = initial_corridor_x
+    return episode.step(action)
 
 
 def observe(state: RobotState, goal: GoalSpec, field: FieldSpec) -> np.ndarray:
@@ -330,7 +282,7 @@ def oracle_shortest(field: FieldSpec, start: RobotState, goal: GoalSpec) -> floa
 
 
 class Episode:
-    """Stateful episode under :func:`step`'s rule: start and goal checked once."""
+    """Stateful episode: start and goal checked once; :meth:`step` is the step rule."""
 
     def __init__(self, field: FieldSpec, start: RobotState, goal: GoalSpec) -> None:
         check_state(field, start)
@@ -346,19 +298,50 @@ class Episode:
         self.total_distance = 0.0
 
     def step(self, action: Action) -> StepOutcome:
+        """Apply one action under the step rule, written only here; the heading turns first."""
         if self.done:
             raise RuntimeError("episode is over")
-        check_action(self.field, action)
-        out = _transition(
-            self.field, self.state, action, self.goal_configs,
-            self.prev_displacement, self.initial_corridor_x,
-        )
-        self.prev_displacement = out.next_state.y - self.state.y if action.move < 2 else 0
-        self.state = out.next_state
+        field, state, configs = self.field, self.state, self.goal_configs
+        check_action(field, action)
+        y = state.y
+        orientation, move = action
+        headland = y == -1 or y == field.corridor_len
+        turn_penalty = TURN_PENALTY if orientation != state.orientation and not headland else 0.0
+        if move >= 2:
+            if not headland:
+                raise IllegalActionError(f"corridor switch requires a headland, robot at y={y}")
+            target_x = move - 1.5
+            dy, distance = 0, abs(target_x - state.corridor_x)
+            next_state = RobotState(target_x, y, orientation)
+            step_penalty, switch_penalty, oscillation_penalty = 0.0, SWITCH_PENALTY_PER_ROW * distance, 0.0
+        else:
+            ny = y + 1 if (orientation == UP) == (move == FORWARD) else y - 1
+            if ny <= -1:  # clamp at field bounds, still costs; a clamped y is the int bound
+                ny = -1
+            elif ny >= field.corridor_len:
+                ny = field.corridor_len
+            dy = ny - y
+            distance = float(abs(dy))
+            next_state = RobotState(state.corridor_x, ny, orientation)
+            # reversing the previous vertical step inside a corridor; none after a switch or at the start
+            oscillating = not headland and dy != 0 and dy == -(self.prev_displacement or 0)
+            step_penalty, switch_penalty = STEP_PENALTY, 0.0
+            oscillation_penalty = OSCILLATION_PENALTY if oscillating else 0.0
+        done = next_state in configs
+        if move < 2 and not (turn_penalty or oscillation_penalty or done):  # -0.2 + 0.0 + ... == -0.2 exactly
+            out = StepOutcome(next_state, STEP_PENALTY, False, _UNIT_STEP, distance)
+        else:
+            goal_reward = bonus = 0.0
+            if done:  # the bonus goes to the terminal corridor nearest the initial one, ties included
+                goal_reward, origin = GOAL_REWARD, self.initial_corridor_x
+                if abs(next_state.corridor_x - origin) <= min(abs(c.corridor_x - origin) for c in configs):
+                    bonus = CLOSER_CORRIDOR_BONUS
+            parts = RewardParts(step_penalty, switch_penalty, turn_penalty, oscillation_penalty, goal_reward, bonus)
+            out = StepOutcome(next_state, parts.total(), done, parts, distance)
+        self.state, self.done, self.prev_displacement = next_state, done, dy
         self.steps += 1
-        self.done = out.done
         self.total_reward += out.reward
-        self.total_distance += out.distance_delta
+        self.total_distance += distance
         return out
 
 

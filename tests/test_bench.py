@@ -327,6 +327,17 @@ class TestScalingSweep:
         assert all(r.success_rate == 1.0 for r in results)
         assert all(r.mean_time_ns > 0 for r in results)
 
+    def test_requests_are_each_size_s_suite_timed_round_robin(self):
+        sizes, n, seed = [4, 6, 9], 5, 21
+        seen = []
+        recording = Planner(PlannerId.HEURISTIC, lambda request: seen.append(request) or plan_heuristic(request))
+        results = scaling_sweep(recording, sizes, seed=seed, instances_per_size=n, corridor_len=3, repetitions=2)
+        master = np.random.default_rng(seed)
+        suites = [generate_instances(FieldSpec(w, 3), n, int(master.integers(2**63))) for w in sizes]
+        # instance i of every size before instance i + 1 of any: a warm-up call, then two timed ones
+        assert seen == [suite[i].request() for i in range(n) for suite in suites for _ in range(3)]
+        assert [(r.num_rows, r.instances, r.success_rate) for r in results] == [(w, n, 1.0) for w in sizes]
+
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ValueError):
             scaling_sweep(HEURISTIC, [8, 4], seed=1)

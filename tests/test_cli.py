@@ -895,13 +895,34 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])
-@pytest.mark.parametrize("start", ["inf,2,0", "-inf,2,0", "nan,2,0"])
+@pytest.mark.parametrize("start", ["inf,2,0", "-inf,2,0", "nan,2,0", "9000000000000000,2,0"])
 def test_non_finite_start_exits_1(capsys, command, start):
+    # nor a whole x past 2**52 on a field that wide: every float there is whole
     extra = ["--planner", "astar"] if command == "plan" else ["--actions", "[]"]
-    where = [*WHERE[:4], f"--start={start}", *WHERE[6:]]  # "=" lets "-inf" through
+    where = ["--rows", str(10**16), *WHERE[2:4], f"--start={start}", *WHERE[6:]]  # "=" lets "-inf" through
     code, _, err = run_cli(capsys, command, *extra, *where)
     assert code == 1
-    assert "not a corridor centerline" in err
+    x = float(start.split(",")[0])
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: not a corridor centerline: x={x}"
+    ]
+
+
+def test_bench_past_2_52_rows_fails_every_planner_alike(tmp_path):
+    # the sampled corridors 0.5 + k round to whole x there; under a memory limit,
+    # so a planner that searched from such a pose fails fast instead of filling memory
+    limit = 512 * 2**20
+    proc = _run_module(
+        "bench", "--planners", "heuristic,astar", "--rows", str(2**62), "--n", "5", "--output-dir", "out",
+        cwd=tmp_path, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "out" / "benchmark.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10 and {row["success"] for row in rows} == {"false"}
+    reasons = {name: [r["failure_reason"] for r in rows if r["planner"] == name] for name in ("heuristic", "astar")}
+    assert reasons["heuristic"] == reasons["astar"]
+    assert all(reason.startswith("planner error: not a corridor centerline: x=") for reason in reasons["astar"])
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])
@@ -1452,4 +1473,4 @@ def test_cli_output_bytes_match_the_pinned_digest():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
         check=True,
     )
-    assert proc.stdout.splitlines()[-1] == f"all {CLI_DIGEST}"
+    assert proc.stdout.splitlines()[-1] == f"all {CLI_DIGEST} ok"

@@ -169,8 +169,10 @@ class TestFieldSpec:
         assert corridor_positions(FieldSpec(4, 5)) == [0.5, 1.5, 2.5]
 
     def test_non_finite_x_is_not_a_corridor(self):
-        field = FieldSpec(4, 5)
-        for x in (math.inf, -math.inf, math.nan):
+        # nor a whole x past 2**52, on a field that wide: there x - 0.5 rounds back to a whole number
+        field = FieldSpec(10**16, 5)
+        assert is_corridor(field, 2**52 - 0.5)
+        for x in (math.inf, -math.inf, math.nan, 9e15, float(2**52), 9 * 10**15):
             assert not is_corridor(field, x)
             with pytest.raises(ValueError, match="corridor centerline"):
                 check_state(field, RobotState(x, 2, UP))
@@ -303,6 +305,23 @@ class TestStep:
         assert out.done
         assert out.reward == pytest.approx(19.8)
         assert out.reward_parts.closer_corridor_bonus == 0.0
+
+    @pytest.mark.parametrize(
+        "state, action, initial_corridor_x, want",
+        [
+            # the terminal pose (2.5, 4, UP) steps off the goal
+            (RobotState(2.5, 4, UP), Action(UP, FORWARD), None, StepOutcome(
+                RobotState(2.5, 5, UP), -0.2, False, RewardParts(-0.2), 1.0)),
+            # arrival from corridor 1.5, nearest the given first corridor 0.5
+            (RobotState(1.5, 5, DOWN), Action(DOWN, FORWARD), 0.5, StepOutcome(
+                RobotState(1.5, 4, DOWN), 24.8, True, RewardParts(-0.2, goal_reward=20.0,
+                                                                  closer_corridor_bonus=5.0), 1.0)),
+        ],
+        ids=["off-the-goal", "arrival-bonus-from-a-given-corridor"],
+    )
+    def test_a_terminal_or_given_start_still_steps(self, state, action, initial_corridor_x, want):
+        field, goal = FieldSpec(10, 10), GoalSpec(2, 4)
+        assert step(state, action, field, goal, initial_corridor_x=initial_corridor_x) == want
 
     def test_single_approach_goal_always_gets_bonus(self):
         out = step(

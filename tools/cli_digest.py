@@ -1,6 +1,5 @@
-"""One sha256 over the CLI's plan, simulate and export bytes on seeded suites.
-
-Run it on two checkouts to show that a change keeps every output byte:
+"""One sha256 over the CLI's plan, simulate and export bytes on seeded suites,
+checked against a pin.
 
     PYTHONPATH=src python3 tools/cli_digest.py
 
@@ -9,7 +8,10 @@ with the heuristic and A*, then hashes, in order: the text plan without its
 planning-time line, the JSON plan without `planning_time_ns`, the text and
 JSON replays of the raw actions (not at 1,000 rows, whose pictures are large),
 and the export CSV and GeoJSON in the local and the world frame.  Standard
-error and exit codes are hashed too, except for the `config:` echo.
+error and exit codes are hashed too, except for the `config:` echo.  One line
+per width reads `rows=<rows> n=<n> <sha256>`; the last reads `all <sha256>
+ok|DIFFERS`, and the tool exits 1 when that digest differs from the one pinned
+below, so a change that keeps every output byte prints the same lines.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 from croprow import cli
@@ -26,6 +29,7 @@ from croprow.bench import generate_instances
 from croprow.world import FieldSpec
 
 SIZES = ((4, 40), (65, 40), (1000, 10))
+PIN = "528db62f4759111a1b3d1b01db31e32f5ede21f9ea28f580c9c5ab6c7e873399"
 GEOMETRY = "row_spacing_m = 0.76\ncorridor_length_m = 20\norigin_e = 100\norigin_n = 50\nheading_rad = 0.3\n"
 
 
@@ -72,18 +76,29 @@ def digest_rows(rows: int, n: int) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
-    total = hashlib.sha256()
+def digest_all() -> str:
+    """The sha256 over every width's digest, each printed as it is made."""
+    total, home = hashlib.sha256(), os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        with open("geom.cfg", "w") as fh:
-            fh.write(GEOMETRY)
-        for rows, n in SIZES:
-            digest = digest_rows(rows, n)
-            total.update(digest.encode())
-            print(f"rows={rows} n={n} {digest}")
-    print(f"all {total.hexdigest()}")
+        try:
+            with open("geom.cfg", "w") as fh:
+                fh.write(GEOMETRY)
+            for rows, n in SIZES:
+                digest = digest_rows(rows, n)
+                total.update(digest.encode())
+                print(f"rows={rows} n={n} {digest}", flush=True)
+        finally:
+            os.chdir(home)
+    return total.hexdigest()
+
+
+def main() -> int:
+    value = digest_all()
+    ok = value == PIN
+    print(f"all {value} {'ok' if ok else 'DIFFERS'}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

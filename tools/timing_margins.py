@@ -5,8 +5,9 @@
 Each run repeats the two timed measurements of tests/test_acceptance.py with
 its seed, sizes, counts and repetitions: criterion 2 plans 10,000 instances at
 65x10 with the heuristic and A* once each, and criterion 3 sweeps 10, 65 and
-200 rows with 1,000 instances per size and 3 repetitions per planner.  The
-oracle check is left out, since it is not timed.  Beside the runs, ``--busy``
+200 rows with 1,000 instances per size and 3 repetitions per planner, timing
+the sizes round-robin as ``bench.scaling_sweep`` does.  The oracle check is
+left out, since it is not timed.  Beside the runs, ``--busy``
 K pure-Python loops (0 up to the CPU count) keep K CPUs busy; they start
 before the first run and are killed when the tool ends, however it ends.
 
