@@ -60,7 +60,8 @@ from croprow.world import Episode  # noqa: F401 - not called here; perfbench/wor
 
 PLANNER_NAMES = tuple(planner_id.value for planner_id in PlannerId)
 MAX_WIDTHS = 10_000  # widths ascend, so the k-th has over k rows: 10,000 reach a field, and a network head, past 10,000
-MAX_SAMPLED = 2**63  # numpy's Generator.integers draws below at most 2**63; bench and train draw below widths and --len
+MAX_SAMPLED = 2**63  # numpy's Generator.integers draws below at most 2**63; bench and train draw below --len
+MAX_ROWS = 2**52 + 1  # the widest field whose corridor centerlines k + 0.5 are all floats; a wider one samples off them
 
 
 def _log(message: str) -> None:
@@ -156,7 +157,7 @@ def _seed(text: str) -> int:
     return _count(text, 0)  # numpy's generators take no negative seed
 
 
-def _sampled(text: str | int) -> int:
+def _sampled(text: str) -> int:
     if (value := _int(text)) > MAX_SAMPLED:  # before any instance is drawn or --output-dir made
         raise argparse.ArgumentTypeError(f"must be at most 2**63, the largest bound numpy draws below, got {value}")
     return value
@@ -176,7 +177,8 @@ def _widths(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"range must ascend by a step of at least 1, got {part!r}")
         if (count := count + (last - first) // step + 1) > MAX_WIDTHS:
             raise argparse.ArgumentTypeError(f"more than the {MAX_WIDTHS:,} widths one run takes, got {text!r}")
-        _sampled(last)
+        if last > MAX_ROWS:  # before any instance is drawn or --output-dir made
+            raise argparse.ArgumentTypeError(f"must be at most 2**52 + 1, past which corridors are inexact, got {last}")
         widths += range(first, last + 1, step)
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise argparse.ArgumentTypeError(f"widths must be strictly ascending, got {text!r}")

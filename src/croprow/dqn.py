@@ -29,7 +29,6 @@ from croprow.world import (
     Action,
     Episode,
     FieldSpec,
-    RobotState,
     at_headland,
     observe,
     sample_instance,
@@ -62,18 +61,12 @@ def index_to_action(index: int, max_rows: int) -> Action:
     return Action(index // span, index % span)
 
 
-def valid_action_mask(field: FieldSpec, state: RobotState, max_rows: int) -> np.ndarray:
-    """Mask over the padded action space: vertical moves are always legal,
-    switches only on a headland and only to corridors this field has."""
-    span = max_rows + 1
-    mask = np.zeros(2 * span, dtype=bool)
-    for orientation in (0, 1):
-        base = orientation * span
-        mask[base] = True
-        mask[base + 1] = True
-        if at_headland(field, state.y):
-            mask[base + 2 : base + field.num_rows + 1] = True
-    return mask
+def action_masks(field: FieldSpec, max_rows: int) -> np.ndarray:
+    """Valid actions over the padded action space: row 0, inside a corridor, holds the vertical
+    moves, and row 1, on a headland, adds switches to this field's corridors.  A pose reads
+    row ``int(at_headland(field, y))``: numpy takes a bool index as a mask and adds an axis."""
+    moves = np.arange(max_rows + 1)  # one orientation's: forward, backward, then switches
+    return np.tile(np.stack([moves < 2, moves <= field.num_rows]), 2)
 
 
 class QNetwork:
@@ -226,9 +219,9 @@ def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with the next state's action mask."""
+    """Fixed-capacity ring of transitions, each with its next state's row of ``masks``."""
 
-    def __init__(self, capacity: int, num_actions: int) -> None:
+    def __init__(self, capacity: int, masks: np.ndarray) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -237,21 +230,22 @@ class ReplayBuffer:
         self.rewards = np.zeros(capacity, dtype=np.float32)
         self.next_obs = np.zeros((capacity, OBS_DIM), dtype=np.float32)
         self.dones = np.zeros(capacity, dtype=bool)
-        self.next_masks = np.zeros((capacity, num_actions), dtype=bool)
+        self.masks = masks
+        self.next_rows = np.zeros(capacity, dtype=np.intp)
         self.size = 0
         self.pos = 0
 
     def __len__(self) -> int:
         return self.size
 
-    def push(self, obs, action, reward, next_obs, done, next_mask) -> None:
+    def push(self, obs, action, reward, next_obs, done, next_row) -> None:
         i = self.pos
         self.obs[i] = obs
         self.actions[i] = action
         self.rewards[i] = reward
         self.next_obs[i] = next_obs
         self.dones[i] = done
-        self.next_masks[i] = next_mask
+        self.next_rows[i] = next_row
         self.pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -263,7 +257,7 @@ class ReplayBuffer:
             self.rewards[idx],
             self.next_obs[idx],
             self.dones[idx],
-            self.next_masks[idx],
+            self.masks[self.next_rows[idx]],
         )
 
 
@@ -379,34 +373,35 @@ def train_stage(
             action_space_size(stage.num_rows), cfg.hidden_sizes, rng=rng
         )
     max_rows = net.max_rows_for(stage.num_rows)
+    masks = action_masks(field, max_rows)
     target_net = net.copy()
     optimizer = Adam(net, cfg.learning_rate)
-    buffer = ReplayBuffer(cfg.buffer_capacity, net.output_dim)
+    buffer = ReplayBuffer(cfg.buffer_capacity, masks)
 
     logs: list[EpisodeLog] = []
 
-    def reset() -> tuple[Episode, np.ndarray, np.ndarray]:
+    def reset() -> tuple[Episode, np.ndarray, int]:
         start, goal = sample_instance(field, rng)
         episode = Episode(field, start, goal)
-        return episode, observe(start, goal, field), valid_action_mask(field, start, max_rows)
+        return episode, observe(start, goal, field), int(at_headland(field, start.y))
 
-    episode, obs, mask = reset()
+    episode, obs, row = reset()
     for step_i in range(stage.steps):
         epsilon = epsilon_at(step_i, stage.steps)
-        action_idx = select_action(net, obs, epsilon, mask, rng)
+        action_idx = select_action(net, obs, epsilon, masks[row], rng)
         out = episode.step(index_to_action(action_idx, max_rows))
         next_obs = observe(out.next_state, episode.goal, field)
-        next_mask = valid_action_mask(field, out.next_state, max_rows)
-        buffer.push(obs, action_idx, out.reward, next_obs, out.done, next_mask)
+        next_row = int(at_headland(field, out.next_state.y))
+        buffer.push(obs, action_idx, out.reward, next_obs, out.done, next_row)
 
         if out.done or episode.steps >= field.max_steps:
             logs.append(
                 EpisodeLog(len(logs), episode.steps, episode.total_reward, out.done, epsilon)
             )
             # before this step's update: both draw from rng, in this order
-            episode, obs, mask = reset()
+            episode, obs, row = reset()
         else:
-            obs, mask = next_obs, next_mask
+            obs, row = next_obs, next_row
 
         if len(buffer) >= LEARNING_STARTS and (step_i + 1) % cfg.train_frequency == 0:
             train_step(net, target_net, buffer, cfg, optimizer, rng)
@@ -454,12 +449,12 @@ def plan_dqn(request: PlanRequest, net: QNetwork) -> PlanResult:
     result, not an error."""
     field = request.field
     max_rows = net.max_rows_for(field.num_rows)
+    masks = action_masks(field, max_rows)
     episode = Episode(field, request.start, request.goal)
     raw: list[Action] = []
     while not episode.done and episode.steps < field.max_steps:
         obs = observe(episode.state, request.goal, field)
-        mask = valid_action_mask(field, episode.state, max_rows)
-        idx = select_action(net, obs, 0.0, mask, None)
+        idx = select_action(net, obs, 0.0, masks[int(at_headland(field, episode.state.y))], None)
         raw.append(index_to_action(idx, max_rows))
         episode.step(raw[-1])
     success = episode.done

@@ -305,7 +305,7 @@ def test_criterion_6_property_suites():
         trial_rng = np.random.default_rng(1000 + trial)
         capacity = int(trial_rng.integers(4, 50))
         extra = int(trial_rng.integers(1, 60))
-        buffer = ReplayBuffer(capacity, num_actions=6)
+        buffer = ReplayBuffer(capacity, np.ones((1, 6), dtype=bool))
         total = capacity + extra
         for k in range(total):
             buffer.push(
@@ -314,7 +314,7 @@ def test_criterion_6_property_suites():
                 float(k),
                 np.zeros(5, dtype=np.float32),
                 False,
-                np.ones(6, dtype=bool),
+                0,
             )
         assert len(buffer) == capacity
         kept = set(buffer.rewards[: len(buffer)].tolist())

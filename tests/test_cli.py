@@ -908,21 +908,27 @@ def test_non_finite_start_exits_1(capsys, command, start):
     ]
 
 
-def test_bench_past_2_52_rows_fails_every_planner_alike(tmp_path):
-    # the sampled corridors 0.5 + k round to whole x there; under a memory limit,
-    # so a planner that searched from such a pose fails fast instead of filling memory
-    limit = 512 * 2**20
-    proc = _run_module(
-        "bench", "--planners", "heuristic,astar", "--rows", str(2**62), "--n", "5", "--output-dir", "out",
-        cwd=tmp_path, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    with open(tmp_path / "out" / "benchmark.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 10 and {row["success"] for row in rows} == {"false"}
-    reasons = {name: [r["failure_reason"] for r in rows if r["planner"] == name] for name in ("heuristic", "astar")}
-    assert reasons["heuristic"] == reasons["astar"]
-    assert all(reason.startswith("planner error: not a corridor centerline: x=") for reason in reasons["astar"])
+@pytest.mark.parametrize("rows", [2**52 + 2, 2**62])
+def test_bench_past_exact_corridors_exits_1_making_no_directory(capsys, tmp_path, monkeypatch, rows):
+    # a sampled corridor 0.5 + k past 2**52 rounds to a whole x, so such a table would be 0% by construction
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate_instances", lambda *a: pytest.fail("an instance was drawn"))
+    argv = ["bench", "--planners", "heuristic,astar", "--rows", str(rows), "--n", "5", "--output-dir", "out"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: argument --rows: must be at most 2**52 + 1, past which corridors are inexact, got {rows}"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_on_the_widest_field_of_exact_corridors_succeeds(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    argv = ["bench", "--planners", "heuristic", "--rows", str(2**52 + 1), "--n", "5", "--output-dir", str(out_dir)]
+    assert run_cli(capsys, *argv)[0] == 0
+    with open(out_dir / "benchmark.csv", newline="") as fh:
+        assert [row["success"] for row in csv.DictReader(fh)] == ["true"] * 5
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])
@@ -1288,23 +1294,28 @@ HUGE = str(10**20)  # past 2**63, the largest bound numpy's Generator.integers d
     ids=["bench-len", "bench-rows", "bench-sweep", "train-len", "train-stages"],
 )
 def test_a_size_numpy_cannot_draw_below_exits_1_naming_the_flag(capsys, tmp_path, monkeypatch, argv, flag):
+    bound = (
+        "2**63, the largest bound numpy draws below" if flag == "--len"
+        else "2**52 + 1, past which corridors are inexact"  # a width that large is refused sooner
+    )
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "generate_instances", lambda *a: pytest.fail("an instance was drawn"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: argument {flag}: must be at most 2**63, the largest bound numpy draws below, got {10**20}"
+        f"error: argument {flag}: must be at most {bound}, got {10**20}"
     ]
     assert list(tmp_path.iterdir()) == []
 
 
 def test_the_largest_size_numpy_draws_below_parses():
-    parse, most = cli.build_parser().parse_args, 2**63
-    args = parse(["bench", "--planners", "heuristic", "--rows", f"4,{most}", "--len", str(most)])
-    assert (args.rows, args.len) == ([4, most], most)
-    args = parse(["train", "--stages", str(most), "--steps", "1", "--len", str(most), "--out", "m.npz"])
-    assert (args.stages, args.len) == ([most], most)
+    # and the widest field whose corridors are exact floats
+    parse, most, widest = cli.build_parser().parse_args, 2**63, 2**52 + 1
+    args = parse(["bench", "--planners", "heuristic", "--rows", f"4,{widest}", "--len", str(most)])
+    assert (args.rows, args.len) == ([4, widest], most)
+    args = parse(["train", "--stages", str(widest), "--steps", "1", "--len", str(most), "--out", "m.npz"])
+    assert (args.stages, args.len) == ([widest], most)
 
 
 def test_plan_and_simulate_keep_fields_numpy_cannot_draw_below(capsys):

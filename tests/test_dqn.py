@@ -28,6 +28,7 @@ from croprow.dqn import (
     QNetwork,
     ReplayBuffer,
     TrainConfig,
+    action_masks,
     action_space_size,
     bellman_loss_and_grads,
     clip_gradients,
@@ -41,10 +42,10 @@ from croprow.dqn import (
     td_targets,
     train_stage,
     train_step,
-    valid_action_mask,
 )
 from croprow.planners import PlanRequest
-from croprow.world import DOWN, UP, Action, FieldSpec, RobotState, GoalSpec, simulate
+from croprow.world import DOWN, UP, Action, FieldSpec, RobotState, GoalSpec, at_headland, simulate
+from poses import all_states
 
 
 def toy_net(seed: int, output_dim: int = 8, dtype=np.float64) -> QNetwork:
@@ -77,22 +78,21 @@ class TestActionCoding:
 
 
 class TestMask:
-    field = FieldSpec(5, 10)
-
-    def test_interior_masks_switches(self):
-        mask = valid_action_mask(self.field, RobotState(0.5, 3, UP), 65)
-        on = {index_to_action(i, 65) for i in np.flatnonzero(mask)}
-        assert on == {Action(0, 0), Action(0, 1), Action(1, 0), Action(1, 1)}
-
-    def test_headland_unmasks_field_switches_only(self):
-        mask = valid_action_mask(self.field, RobotState(0.5, -1, UP), 65)
-        moves = {a.move for a in (index_to_action(i, 65) for i in np.flatnonzero(mask))}
-        # switches up to this field's width; the padded tail stays masked
-        assert moves == {0, 1, 2, 3, 4, 5}
-
-    def test_mask_at_native_width(self):
-        mask = valid_action_mask(self.field, RobotState(0.5, 10, DOWN), 5)
-        assert mask.all()
+    def test_every_pose_reads_its_places_row(self):
+        # every pose of the fields with 2-8 rows and lengths 1 and 3, under heads up to 9 rows wide
+        for num_rows in range(2, 9):
+            for length in (1, 3):
+                field = FieldSpec(num_rows, length)
+                for max_rows in range(num_rows, 10):
+                    masks = action_masks(field, max_rows)
+                    assert masks.dtype == bool and masks.shape == (2, action_space_size(max_rows))
+                    for state in all_states(field):
+                        mask = masks[int(at_headland(field, state.y))]
+                        on = {index_to_action(i, max_rows) for i in np.flatnonzero(mask)}
+                        # forward and backward everywhere; on a headland also a switch to each
+                        # of this field's corridors, moves 2..num_rows; the padded tail never
+                        moves = range(num_rows + 1) if state.y in (-1, length) else range(2)
+                        assert on == {Action(o, m) for o in (UP, DOWN) for m in moves}
 
 
 def relu_margin(net: QNetwork, obs: np.ndarray) -> float:
@@ -188,21 +188,22 @@ class TestTdTargets:
 
 class TestReplayBuffer:
     def test_ring_eviction(self):
-        buf = ReplayBuffer(50, 8)
-        mask = np.ones(8, dtype=bool)
+        buf = ReplayBuffer(50, np.ones((1, 8), dtype=bool))
         for i in range(150):
-            buf.push(np.full(5, 0.1), 0, float(i), np.full(5, 0.2), False, mask)
+            buf.push(np.full(5, 0.1), 0, float(i), np.full(5, 0.2), False, 0)
         assert len(buf) == 50
         assert set(buf.rewards.astype(int)) == set(range(100, 150))
 
     def test_sample_shapes_and_determinism(self):
-        buf = ReplayBuffer(100, 8)
-        mask = np.ones(8, dtype=bool)
+        masks = np.ones((2, 8), dtype=bool)
+        masks[1, 2:] = False
+        buf = ReplayBuffer(100, masks)
         for i in range(40):
-            buf.push(np.full(5, i / 40), i % 8, float(i), np.full(5, 0.2), i % 2, mask)
+            buf.push(np.full(5, i / 40), i % 8, float(i), np.full(5, 0.2), i % 2, i % 2)
         a = buf.sample(16, np.random.default_rng(3))
         b = buf.sample(16, np.random.default_rng(3))
-        assert a[0].shape == (16, 5) and a[5].shape == (16, 8)
+        assert a[0].shape == (16, 5) and a[5].shape == (16, 8) and a[5].dtype == bool
+        assert np.array_equal(a[5], masks[a[1] % 2])  # each transition's own row
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -213,9 +214,8 @@ class TestTraining:
         # regression the optimizer must be able to drive down
         net = toy_net(5, dtype=np.float32)
         target = net.copy()
-        buf = ReplayBuffer(256, 8)
+        buf = ReplayBuffer(256, np.ones((1, 8), dtype=bool))
         rng = np.random.default_rng(11)
-        mask = np.ones(8, dtype=bool)
         for _ in range(256):
             obs = rng.uniform(0, 1, 5).astype(np.float32)
             buf.push(
@@ -224,7 +224,7 @@ class TestTraining:
                 float(3.0 * obs[0] - 2.0 * obs[1]),
                 np.zeros(5, dtype=np.float32),
                 True,
-                mask,
+                0,
             )
         cfg = TrainConfig(learning_rate=3e-3, hidden_sizes=(4, 4))
         opt = Adam(net, cfg.learning_rate)
@@ -233,15 +233,15 @@ class TestTraining:
 
     def test_train_step_noop_until_batch_available(self):
         net = toy_net(5, dtype=np.float32)
-        buf = ReplayBuffer(BATCH_SIZE, 8)
+        buf = ReplayBuffer(BATCH_SIZE, np.ones((1, 8), dtype=bool))
         cfg = TrainConfig(hidden_sizes=(4, 4))
         opt = Adam(net, cfg.learning_rate)
         rng = np.random.default_rng(0)
-        obs, mask = np.zeros(5, dtype=np.float32), np.ones(8, dtype=bool)
+        obs = np.zeros(5, dtype=np.float32)
         for _ in range(BATCH_SIZE - 1):
-            buf.push(obs, 0, 1.0, obs, True, mask)
+            buf.push(obs, 0, 1.0, obs, True, 0)
         assert train_step(net, net.copy(), buf, cfg, opt, rng) is None
-        buf.push(obs, 0, 1.0, obs, True, mask)
+        buf.push(obs, 0, 1.0, obs, True, 0)
         assert isinstance(train_step(net, net.copy(), buf, cfg, opt, rng), float)
 
     def test_gradient_clipping(self):
@@ -355,19 +355,21 @@ def ref_train_step(net, target_net, buffer, cfg, optimizer, rng) -> float:
 
 
 def random_buffer(seed: int, num_actions: int, reward_scale: float = 30.0) -> ReplayBuffer:
-    """Random transitions; large rewards make updates exceed the clip bound."""
+    """Random transitions, each with its own random row of the mask table; large
+    rewards make updates exceed the clip bound."""
     rng = np.random.default_rng(seed)
-    buf = ReplayBuffer(512, num_actions)
-    for _ in range(512):
-        mask = rng.random(num_actions) < 0.7
-        mask[0] = True
+    masks = np.zeros((512, num_actions), dtype=bool)
+    buf = ReplayBuffer(512, masks)
+    for k in range(512):
+        masks[k] = rng.random(num_actions) < 0.7
+        masks[k, 0] = True
         buf.push(
             rng.uniform(0, 1, 5),
             int(rng.integers(num_actions)),
             float(rng.normal(0.0, reward_scale)),
             rng.uniform(0, 1, 5),
             bool(rng.random() < 0.2),
-            mask,
+            k,
         )
     return buf
 
