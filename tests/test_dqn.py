@@ -78,6 +78,26 @@ class TestActionCoding:
 
 
 class TestMask:
+    field = FieldSpec(5, 10)
+
+    def test_interior_masks_switches(self):
+        state = RobotState(0.5, 3, UP)
+        mask = action_masks(self.field, 65)[int(at_headland(self.field, state.y))]
+        on = {index_to_action(i, 65) for i in np.flatnonzero(mask)}
+        assert on == {Action(0, 0), Action(0, 1), Action(1, 0), Action(1, 1)}
+
+    def test_headland_unmasks_field_switches_only(self):
+        state = RobotState(0.5, -1, UP)
+        mask = action_masks(self.field, 65)[int(at_headland(self.field, state.y))]
+        moves = {a.move for a in (index_to_action(i, 65) for i in np.flatnonzero(mask))}
+        # switches up to this field's width; the padded tail stays masked
+        assert moves == {0, 1, 2, 3, 4, 5}
+
+    def test_mask_at_native_width(self):
+        state = RobotState(0.5, 10, DOWN)
+        mask = action_masks(self.field, 5)[int(at_headland(self.field, state.y))]
+        assert mask.all()
+
     def test_every_pose_reads_its_places_row(self):
         # every pose of the fields with 2-8 rows and lengths 1 and 3, under heads up to 9 rows wide
         for num_rows in range(2, 9):
