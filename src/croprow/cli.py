@@ -175,6 +175,7 @@ def _widths(text: str) -> list[int]:
         first, last, step = map(_int, (first, last, step) if dots else (part, part, "1"))  # A is A..A:1
         if step < 1 or last < first:
             raise argparse.ArgumentTypeError(f"range must ascend by a step of at least 1, got {part!r}")
+        last = first + (last - first) // step * step  # the largest width listed, which B need not be
         if (count := count + (last - first) // step + 1) > MAX_WIDTHS:
             raise argparse.ArgumentTypeError(f"more than the {MAX_WIDTHS:,} widths one run takes, got {text!r}")
         if last > MAX_ROWS:  # before any instance is drawn or --output-dir made

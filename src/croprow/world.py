@@ -232,51 +232,46 @@ def observe(state: RobotState, goal: GoalSpec, field: FieldSpec) -> np.ndarray:
 _UNREACHED = 2**31 - 1
 
 
-def _pose_id(field: FieldSpec, state: RobotState) -> int:
-    """Integer pose id: corridor, y + 1 and orientation packed into one int."""
-    corridor = int(state.corridor_x - 0.5)
-    return ((corridor * (field.corridor_len + 2) + int(state.y) + 1) << 1) | int(state.orientation)
-
-
 @lru_cache(maxsize=1024)
-def _distance_field(field: FieldSpec, goal: GoalSpec) -> array:
-    """Exact distance from every pose id to the goal's terminal set.  A flip is free on a
-    headland, so both headings at a corridor end share one distance, held in an int64
+def _distance_field(field: FieldSpec, goal: GoalSpec) -> tuple[array, tuple[tuple[int, int], ...]]:
+    """Exact distances from both ends of every corridor to the goal's terminal set, flat as
+    (south ends, north ends), and the goal lines as (corridor, heading) pairs.  A flip is free
+    on a headland, so both headings at a corridor end share one distance, held in an int64
     (end, corridor) array.  From the goal lines' ends it relaxes to the Bellman-Ford fixed
     point: the crossing, top = len + 1 between a line's ends, then the lateral steps as two
-    prefix-minimum passes, until a pass changes nothing.  A line is a path graph between its
-    ends, so its poses then take min(bottom + y + 1, top end + len - y), and a goal's own
-    line |y - goal_y|: the exact L1 distances on a path."""
-    top, y1 = field.corridor_len + 1, np.arange(field.corridor_len + 2, dtype=np.intc)  # y + 1 of every pose
-    corridors, headings = zip(*((int(c.corridor_x - 0.5), c.orientation) for c in goal_configs(field, goal)))
+    prefix-minimum passes, until the ends are closed under the crossing.  A lateral pass is an
+    L1 distance transform, so it is idempotent (Felzenszwalb & Huttenlocher, Theory of
+    Computing 2012), and closure under the crossing is the fixed point."""
+    top = field.corridor_len + 1
+    lines = tuple((int(c.corridor_x - 0.5), c.orientation) for c in goal_configs(field, goal))
     ends = np.full((2, field.num_rows - 1), _UNREACHED, np.int64)
-    ends[:, corridors] = [[goal.goal_y + 1], [top - goal.goal_y - 1]]
+    ends[:, [c for c, _ in lines]] = [[goal.goal_y + 1], [top - goal.goal_y - 1]]
     i = np.arange(field.num_rows - 1)
     while True:
         crossed = np.minimum(ends, ends[::-1] + top)
         forward = np.minimum.accumulate(crossed - i, axis=1) + i
-        lateral = np.minimum(forward, np.minimum.accumulate((crossed + i)[:, ::-1], axis=1)[:, ::-1] - i)
-        if (lateral == ends).all():
-            break
-        ends = lateral
-    bottom, far = ends.astype(np.intc)  # the fill runs in the output's dtype, corridors innermost
-    poses = np.empty((field.num_rows - 1, top + 1, 2), np.intc)  # (corridor, y + 1, heading): pose-id order
-    poses[..., UP] = poses[..., DOWN] = np.minimum(bottom + y1[:, None], far + (top - y1)[:, None]).T
-    poses[corridors, :, headings] = abs(y1 - goal.goal_y - 1)  # the goal lines
-    return array("i", poses.tobytes())
+        ends = np.minimum(forward, np.minimum.accumulate((crossed + i)[:, ::-1], axis=1)[:, ::-1] - i)
+        if (ends <= ends[::-1] + top).all():
+            return array("q", ends.tobytes()), lines
 
 
 def oracle_shortest(field: FieldSpec, start: RobotState, goal: GoalSpec) -> float:
     """Exact shortest travel distance from start to any terminal configuration.
 
-    A lookup into the goal's distance field (see :func:`_distance_field`),
-    LRU-memoized per (field, goal), at most 1,024 fields at 4 bytes per pose:
-    about 100 MB at 1,000 rows.
+    The goal's corridor ends (see :func:`_distance_field`) are LRU-memoized per
+    (field, goal), at most 1,024 goals at 16 bytes per corridor: about 16 MB at
+    1,000 rows.  A line is a path graph between its ends, so a pose takes
+    min(south end + y + 1, north end + len - y), and a pose on a goal line
+    |y - goal_y|: the exact L1 distances on a path.
     Independent of the planners, used as ground truth for them.
     """
     check_state(field, start)
-    d = _distance_field(field, goal)[_pose_id(field, start)]
-    if d == _UNREACHED:  # every pose is connected, so only a damaged field
+    ends, lines = _distance_field(field, goal)
+    corridor, y = int(start.corridor_x - 0.5), int(start.y)
+    if (corridor, start.orientation) in lines:
+        return float(abs(y - goal.goal_y))
+    d = min(ends[corridor] + y + 1, ends[corridor + field.num_rows - 1] + field.corridor_len - y)
+    if d >= _UNREACHED:  # every pose is connected, so only a damaged field
         raise RuntimeError("goal unreachable")
     return float(d)
 

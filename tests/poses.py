@@ -23,6 +23,13 @@ def all_states(field: FieldSpec) -> list[RobotState]:
     ]
 
 
+def pose_id(field: FieldSpec, state: RobotState) -> int:
+    """Integer pose id: corridor, y + 1 and orientation packed into one int, so
+    that ``all_states`` lists the poses in id order."""
+    corridor = int(state.corridor_x - 0.5)
+    return ((corridor * (field.corridor_len + 2) + int(state.y) + 1) << 1) | int(state.orientation)
+
+
 def sample_pose(field: FieldSpec, rng: np.random.Generator) -> RobotState:
     """Uniform random pose, headlands included: the corridor, y and
     orientation draws of ``world.sample_state``, in the same order."""

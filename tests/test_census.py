@@ -30,8 +30,7 @@ NEVER_ENTERED = {
     "waypoints.WaypointPath.__len__": "perfbench counts route points with len() (ROADMAP item 1 PR B, then item 7)",
     "dqn.evaluate": "perfbench's train-5 runs it; croprow train does not yet (ROADMAP item 3)",
     "world.oracle_shortest": "perfbench and the tests check plans against it; no command yet (ROADMAP item 5)",
-    "world._distance_field": "oracle_shortest's distance field (ROADMAP item 5)",
-    "world._pose_id": "oracle_shortest's index into the distance field (ROADMAP item 5)",
+    "world._distance_field": "oracle_shortest's memoized corridor ends (ROADMAP item 5)",
 }
 
 

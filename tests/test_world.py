@@ -35,7 +35,6 @@ from croprow.world import (
     StepOutcome,
     _UNREACHED,
     _distance_field,
-    _pose_id,
     at_headland,
     check_state,
     goal_configs,
@@ -48,7 +47,7 @@ from croprow.world import (
     simulate,
     step,
 )
-from poses import all_states, corridor_positions, sample_pose
+from poses import all_states, corridor_positions, pose_id, sample_pose
 
 
 def env_shortest(field, start, goal):
@@ -98,11 +97,11 @@ def env_shortest(field, start, goal):
 
 def bfs_distance_field(field, goal):
     """Reference distance field: one multi-source 0-1 BFS (Dial 1969, two
-    buckets) from the terminal configurations, one pose id at a time."""
+    buckets) from the terminal configurations, one pose id at a time, indexed by pose id."""
     span = field.corridor_len + 2
     size, last, lateral = (field.num_rows - 1) * span * 2, span - 1, 2 * span
     dist = array("i", [_UNREACHED]) * size
-    queue = deque(_pose_id(field, config) for config in goal_configs(field, goal))
+    queue = deque(pose_id(field, config) for config in goal_configs(field, goal))
     for pose in queue:
         dist[pose] = 0
     while queue:
@@ -468,10 +467,11 @@ class TestOracle:
         else:
             rng = np.random.default_rng(15)
             goals = [sample_goal(field, rng) for _ in range(goals)]
+        states = all_states(field)
+        ids = [pose_id(field, s) for s in states]
         for goal in goals:
-            field_array = _distance_field.__wrapped__(field, goal)  # leaves the memo alone
-            assert field_array.typecode == "i"
-            assert field_array == bfs_distance_field(field, goal), goal
+            want = bfs_distance_field(field, goal)
+            assert [oracle_shortest(field, s, goal) for s in states] == [want[i] for i in ids], goal
 
     @pytest.mark.parametrize(
         "start, goal, message",
@@ -534,6 +534,14 @@ class TestOracle:
             assert _distance_field.cache_info().currsize == bound
         finally:
             _distance_field.cache_clear()
+
+    @pytest.mark.parametrize("rows, length, ends", [(1000, 10, 2 * 999), (2, 513, 2)])
+    def test_memo_holds_two_ends_per_corridor(self, rows, length, ends):
+        # the entry does not grow with corridor length: poses are read off their corridor's ends
+        field, goal = FieldSpec(rows, length), GoalSpec(1, length - 1)
+        corridor_ends, lines = _distance_field.__wrapped__(field, goal)
+        assert len(corridor_ends) == ends
+        assert lines == tuple((int(c.corridor_x - 0.5), c.orientation) for c in goal_configs(field, goal))
 
     @given(field_state_goal())
     @settings(max_examples=60, deadline=None)
