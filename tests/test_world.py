@@ -97,7 +97,8 @@ def env_shortest(field, start, goal):
 
 def bfs_distance_field(field, goal):
     """Reference distance field: one multi-source 0-1 BFS (Dial 1969, two
-    buckets) from the terminal configurations, one pose id at a time, indexed by pose id."""
+    buckets) from the terminal configurations, one pose id at a time; the
+    result is indexed by ``pose_id``."""
     span = field.corridor_len + 2
     size, last, lateral = (field.num_rows - 1) * span * 2, span - 1, 2 * span
     dist = array("i", [_UNREACHED]) * size
@@ -535,13 +536,14 @@ class TestOracle:
         finally:
             _distance_field.cache_clear()
 
-    @pytest.mark.parametrize("rows, length, ends", [(1000, 10, 2 * 999), (2, 513, 2)])
-    def test_memo_holds_two_ends_per_corridor(self, rows, length, ends):
+    @pytest.mark.parametrize(
+        "rows, length, ends, lines",
+        [(1000, 10, 2 * 999, ((1, UP), (0, DOWN))), (2, 513, 2, ((0, DOWN),))],  # row 1 is the east edge of 2 rows
+    )
+    def test_memo_holds_two_ends_per_corridor(self, rows, length, ends, lines):
         # the entry does not grow with corridor length: poses are read off their corridor's ends
-        field, goal = FieldSpec(rows, length), GoalSpec(1, length - 1)
-        corridor_ends, lines = _distance_field.__wrapped__(field, goal)
-        assert len(corridor_ends) == ends
-        assert lines == tuple((int(c.corridor_x - 0.5), c.orientation) for c in goal_configs(field, goal))
+        entry = _distance_field.__wrapped__(FieldSpec(rows, length), GoalSpec(1, length - 1))
+        assert (len(entry[0]), entry[1]) == (ends, lines)
 
     @given(field_state_goal())
     @settings(max_examples=60, deadline=None)

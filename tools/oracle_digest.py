@@ -8,7 +8,7 @@ pose x goal of 65x10 (998,400 requests), and 300 seeded goals x 200 seeded
 poses, headlands included, at 1,000x10.  Each line reads ``<set> <requests>
 <sha256> ok|DIFFERS``, and the tool exits 1 when any digest differs from the
 one pinned below, so a change to the oracle that keeps every distance prints
-the same lines.  About 1.6 s on one core of a 2 vCPU machine.
+the same lines.  About 2 s on one core of a 2 vCPU machine.
 """
 
 from __future__ import annotations
