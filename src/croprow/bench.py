@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from croprow.planners import PlanRequest, PlanResult, PlannerId
-from croprow.world import FieldSpec, GoalSpec, RobotState, sample_instance, simulate
+from croprow.world import FieldSpec, GoalSpec, RobotState, sample_instances, simulate
 
 CSV_HEADER = (
     "instance_id,planner,success,planning_time_ns,path_length_units,"
@@ -76,10 +76,10 @@ class SizeResult:
 
 
 def generate_instances(field: FieldSpec, count: int, seed: int) -> list[Instance]:
-    """Deterministic instance suite; starts already in a terminal
-    configuration are rejected and redrawn."""
-    rng = np.random.default_rng(seed)
-    return [Instance(i, field, *sample_instance(field, rng)) for i in range(count)]
+    """Deterministic instance suite, :func:`~croprow.world.sample_instances`'
+    draws from ``seed``; starts already terminal are rejected and redrawn."""
+    pairs = sample_instances(field, np.random.default_rng(seed), count)
+    return [Instance(i, field, start, goal) for i, (start, goal) in enumerate(pairs)]
 
 
 def timed_call(planner: Planner, request: PlanRequest) -> tuple[PlanResult, int]:
@@ -239,13 +239,16 @@ def scaling_sweep(
     on all of them alike; each size keeps running totals only."""
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
+    if instances_per_size < 1:
+        raise ValueError("instances_per_size must be >= 1")
     master = np.random.default_rng(seed)
     fields = [FieldSpec(num_rows, corridor_len) for num_rows in sizes]
     rngs = [np.random.default_rng(int(master.integers(2**63))) for _ in sizes]  # generate_instances' draws
     totals = [[0, 0] for _ in sizes]  # ns, successes
     for i in range(instances_per_size):
         for field, rng, total in zip(fields, rngs, totals):
-            (record,) = run_benchmark([planner], [Instance(i, field, *sample_instance(field, rng))], repetitions)
+            instance = Instance(i, field, *sample_instances(field, rng, 1)[0])
+            (record,) = run_benchmark([planner], [instance], repetitions)
             total[0] += record.planning_time_ns
             total[1] += record.success
     n = instances_per_size

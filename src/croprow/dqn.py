@@ -31,7 +31,7 @@ from croprow.world import (
     FieldSpec,
     at_headland,
     observe,
-    sample_instance,
+    sample_instances,
 )
 
 CHECKPOINT_VERSION = 1
@@ -381,7 +381,7 @@ def train_stage(
     logs: list[EpisodeLog] = []
 
     def reset() -> tuple[Episode, np.ndarray, int]:
-        start, goal = sample_instance(field, rng)
+        ((start, goal),) = sample_instances(field, rng, 1)
         episode = Episode(field, start, goal)
         return episode, observe(start, goal, field), int(at_headland(field, start.y))
 

@@ -191,10 +191,6 @@ def goal_configs(field: FieldSpec, goal: GoalSpec) -> tuple[RobotState, ...]:
     return RobotState(row + 0.5, y, UP), RobotState(row - 0.5, y, DOWN)
 
 
-def is_goal(field: FieldSpec, state: RobotState, goal: GoalSpec) -> bool:
-    return state in goal_configs(field, goal)
-
-
 def step(
     state: RobotState,
     action: Action,
@@ -376,23 +372,22 @@ def simulate(
     )
 
 
-def sample_state(field: FieldSpec, rng: np.random.Generator) -> RobotState:
-    """Uniform random start pose inside the corridors."""
-    corridor = 0.5 + int(rng.integers(field.num_rows - 1))
-    return RobotState(corridor, int(rng.integers(field.corridor_len)), int(rng.integers(2)))
+_BLOCK = 4096  # tries per draw, so a block's arrays stay smaller than the list of results
 
 
-def sample_goal(field: FieldSpec, rng: np.random.Generator) -> GoalSpec:
-    return GoalSpec(int(rng.integers(field.num_rows)), int(rng.integers(field.corridor_len)))
-
-
-def sample_instance(
-    field: FieldSpec, rng: np.random.Generator
-) -> tuple[RobotState, GoalSpec]:
-    """Random start and goal, redrawn until the start is not already terminal."""
-    while True:
-        start = sample_state(field, rng)
-        goal = sample_goal(field, rng)
-        if not is_goal(field, start, goal):
-            return start, goal
-
+def sample_instances(field: FieldSpec, rng: np.random.Generator, count: int) -> list[tuple[RobotState, GoalSpec]]:
+    """``count`` random (start, goal) pairs: per try, start corridor, y and heading, then goal row
+    and goal y, redrawn while the start is terminal.  One ``rng.integers`` call on an array of
+    bounds draws a block of tries, element by element as scalar calls would (Lemire, ACM TOMACS
+    2019); a block holds no more tries than are missing, so ``rng`` ends where scalar calls would."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    bounds = (field.num_rows - 1, field.corridor_len, 2, field.num_rows, field.corridor_len)
+    dtype = np.int64 if max(bounds) < 2**63 else object  # numpy range-checks object bounds as scalar ones
+    out: list[tuple[RobotState, GoalSpec]] = []
+    while len(out) < count:
+        values = iter(rng.integers(np.array(bounds * min(count - len(out), _BLOCK), dtype)).tolist())
+        for corridor, y, heading, row, goal_y in zip(values, values, values, values, values):
+            if y != goal_y or corridor + heading != row:  # else in goal_configs: row = corridor + heading
+                out.append((RobotState(corridor + 0.5, y, heading), GoalSpec(row, goal_y)))
+    return out

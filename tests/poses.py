@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from croprow.world import DOWN, UP, FieldSpec, RobotState
+from croprow.world import DOWN, UP, FieldSpec, GoalSpec, RobotState, goal_configs
 
 
 def corridor_positions(field: FieldSpec) -> list[float]:
@@ -31,8 +31,31 @@ def pose_id(field: FieldSpec, state: RobotState) -> int:
 
 
 def sample_pose(field: FieldSpec, rng: np.random.Generator) -> RobotState:
-    """Uniform random pose, headlands included: the corridor, y and
-    orientation draws of ``world.sample_state``, in the same order."""
+    """Uniform random pose, headlands included: a corridor, then y, then
+    an orientation, the order in which ``world.sample_instances`` draws a start."""
     corridor = 0.5 + int(rng.integers(field.num_rows - 1))
     y = int(rng.integers(-1, field.corridor_len + 1))
     return RobotState(corridor, y, int(rng.integers(2)))
+
+
+def is_goal(field: FieldSpec, state: RobotState, goal: GoalSpec) -> bool:
+    """Whether the pose services the goal: one of its ``goal_configs``."""
+    return state in goal_configs(field, goal)
+
+
+def sample_goal(field: FieldSpec, rng: np.random.Generator) -> GoalSpec:
+    """Uniform random goal: a row, then a position along it."""
+    return GoalSpec(int(rng.integers(field.num_rows)), int(rng.integers(field.corridor_len)))
+
+
+def reference_instances(field: FieldSpec, rng: np.random.Generator, count: int) -> list[tuple[RobotState, GoalSpec]]:
+    """``world.sample_instances`` one scalar draw at a time: per try the start corridor,
+    y and heading, then the goal row and goal y, redrawn while the start is terminal."""
+    out = []
+    while len(out) < count:
+        corridor = 0.5 + int(rng.integers(field.num_rows - 1))
+        start = RobotState(corridor, int(rng.integers(field.corridor_len)), int(rng.integers(2)))
+        goal = sample_goal(field, rng)
+        if not is_goal(field, start, goal):
+            out.append((start, goal))
+    return out

@@ -42,12 +42,10 @@ from croprow.world import (
     GoalSpec,
     IllegalActionError,
     RobotState,
-    is_goal,
     oracle_shortest,
-    sample_goal,
     step,
 )
-from poses import all_states, sample_pose
+from poses import all_states, is_goal, sample_goal, sample_pose
 
 SEED = 20260822
 HEURISTIC = Planner(PlannerId.HEURISTIC, plan_heuristic)

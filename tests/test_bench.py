@@ -31,7 +31,8 @@ from croprow.planners import (
     plan_astar,
     plan_heuristic,
 )
-from croprow.world import Action, FieldSpec, GoalSpec, RobotState, is_goal, oracle_shortest
+from croprow.world import Action, FieldSpec, GoalSpec, RobotState, oracle_shortest
+from poses import is_goal
 
 HEURISTIC = Planner(PlannerId.HEURISTIC, plan_heuristic)
 ASTAR = Planner(PlannerId.GRAPH_ASTAR, plan_astar)
@@ -109,6 +110,10 @@ class TestInstances:
         assert generate_instances(field, 30, seed=1) != generate_instances(
             field, 30, seed=2
         )
+
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            generate_instances(FieldSpec(4, 4), -1, seed=1)
 
 
 class TestRunBenchmark:
@@ -345,6 +350,11 @@ class TestScalingSweep:
     def test_rejects_repeated_sizes(self):
         with pytest.raises(ValueError, match="strictly ascending"):
             scaling_sweep(HEURISTIC, [4, 8, 8], seed=1, instances_per_size=1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_instance_per_size(self, n):
+        with pytest.raises(ValueError, match="instances_per_size must be >= 1"):
+            scaling_sweep(HEURISTIC, [4, 8], seed=1, instances_per_size=n)
 
 
 @settings(max_examples=30, deadline=None)

@@ -30,11 +30,10 @@ from croprow.world import (
     RobotState,
     at_headland,
     oracle_shortest,
-    sample_goal,
     simulate,
 )
 from croprow.bench import generate_instances
-from poses import all_states, sample_pose
+from poses import all_states, sample_goal, sample_pose
 
 
 def A(o: int, m: int) -> Action:

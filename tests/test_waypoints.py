@@ -38,10 +38,9 @@ from croprow.world import (
     GoalSpec,
     RobotState,
     at_headland,
-    sample_goal,
     step,
 )
-from poses import sample_pose
+from poses import sample_goal, sample_pose
 
 GEOM = FieldGeometry(row_spacing_m=0.76, corridor_length_m=20.0)
 

@@ -33,21 +33,20 @@ from croprow.world import (
     RewardParts,
     RobotState,
     StepOutcome,
+    _BLOCK,
     _UNREACHED,
     _distance_field,
     at_headland,
     check_state,
     goal_configs,
     is_corridor,
-    is_goal,
     observe,
     oracle_shortest,
-    sample_goal,
-    sample_state,
+    sample_instances,
     simulate,
     step,
 )
-from poses import all_states, corridor_positions, pose_id, sample_pose
+from poses import all_states, corridor_positions, is_goal, pose_id, reference_instances, sample_goal, sample_pose
 
 
 def env_shortest(field, start, goal):
@@ -769,9 +768,29 @@ def test_step_closure_and_reward_identity(fsg, orientation, move, prev):
 def test_samplers_produce_valid_instances(seed):
     rng = np.random.default_rng(seed)
     field = FieldSpec(int(rng.integers(2, 12)), int(rng.integers(1, 12)))
-    state = sample_state(field, rng)
-    goal = sample_goal(field, rng)
-    assert state.corridor_x in corridor_positions(field)
-    assert 0 <= state.y < field.corridor_len
-    assert 0 <= goal.row < field.num_rows
-    assert 0 <= goal.goal_y < field.corridor_len
+    for state, goal in sample_instances(field, rng, 5):
+        assert state.corridor_x in corridor_positions(field)
+        assert 0 <= state.y < field.corridor_len
+        assert 0 <= goal.row < field.num_rows
+        assert 0 <= goal.goal_y < field.corridor_len
+        assert not is_goal(field, state, goal)
+
+
+# 2x1: half the tries terminal; 2**52 + 1 rows: the 64-bit draw; 2**63: the largest bound numpy takes
+@pytest.mark.parametrize("rows,length", [(2, 1), (3, 1), (65, 10), (1000, 10), (2**52 + 1, 10), (3, 2**63)])
+@pytest.mark.parametrize("count", [0, 1, 7, _BLOCK + 1])
+def test_sample_instances_are_the_scalar_draws(rows, length, count):
+    field = FieldSpec(rows, length)
+    blocked, scalar = np.random.default_rng(count), np.random.default_rng(count)
+    assert sample_instances(field, blocked, count) == reference_instances(field, scalar, count)
+    assert blocked.integers(2**40) == scalar.integers(2**40)  # both generators end in one state
+
+
+@pytest.mark.parametrize("rows,length", [(3, 2**63 + 1), (3, 2**64), (2**64, 10)])
+def test_sample_instances_refuse_a_bound_numpy_refuses_alike(rows, length):
+    field = FieldSpec(rows, length)
+    with pytest.raises(ValueError) as scalar:
+        reference_instances(field, np.random.default_rng(0), 1)
+    with pytest.raises(ValueError, match=f"^{scalar.value}$"):
+        sample_instances(field, np.random.default_rng(0), 1)
+
