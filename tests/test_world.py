@@ -791,6 +791,6 @@ def test_sample_instances_refuse_a_bound_numpy_refuses_alike(rows, length):
     field = FieldSpec(rows, length)
     with pytest.raises(ValueError) as scalar:
         reference_instances(field, np.random.default_rng(0), 1)
-    with pytest.raises(ValueError, match=f"^{scalar.value}$"):
+    with pytest.raises(ValueError) as blocked:
         sample_instances(field, np.random.default_rng(0), 1)
-
+    assert str(blocked.value) == str(scalar.value)
